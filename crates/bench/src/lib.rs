@@ -57,6 +57,15 @@ pub fn corridor() -> Network {
     )
 }
 
+/// Carrier A's LTE network in C1 at world scale 0.2 (365 cells): the
+/// metro fleet's city, where a UE hears nearly every cell.
+pub fn metro() -> Network {
+    let world = mmcarriers::world::World::generate(2018, 0.2);
+    mmlab::campaign::city_network(&world, "A", mmcarriers::City::C1, 2018)
+        // mm-allow(E001): carrier A deploys LTE in C1 at every world scale
+        .expect("carrier A has LTE cells in C1")
+}
+
 /// The tiny experiment context used by the per-figure benches: small world,
 /// one short run per (carrier, city).
 pub fn bench_ctx() -> Ctx {

@@ -12,7 +12,6 @@ use mmcore::kernel::sum_f64;
 use mmcore::reselect::PriorityRelation;
 use mmcore::ue::CellMeasurement;
 use mmradio::cell::CellId;
-use mmradio::geom::Point;
 use mmsignaling::log::{Direction, LogEntry, SignalingLog};
 
 /// How a handoff came about.
@@ -208,35 +207,6 @@ pub fn min_binned(series: &[(u64, f64)], start_ms: u64, end_ms: u64, bin_ms: u64
         .into_iter()
         .map(|(_, v)| v)
         .min_by(|a, b| a.total_cmp(b))
-}
-
-/// Strongest detectable cells at `pos`, as UE measurements (top `max`).
-pub(crate) fn measure(
-    network: &Network,
-    pos: Point,
-    rng: &mut impl mm_rng::Rng,
-    max: usize,
-) -> Vec<CellMeasurement> {
-    network
-        .deployment
-        .measure_all(pos, rng)
-        .into_iter()
-        .take(max)
-        .map(|m| {
-            let channel = network
-                .deployment
-                .cell(m.cell)
-                // mm-allow(E001): measure_all only reports cells that exist in the deployment
-                .expect("measured cell exists")
-                .channel;
-            CellMeasurement {
-                cell: m.cell,
-                channel,
-                rsrp_dbm: m.sample.rsrp.dbm(),
-                rsrq_db: m.sample.rsrq.db(),
-            }
-        })
-        .collect()
 }
 
 pub(crate) fn find(batch: &[CellMeasurement], cell: CellId) -> Option<&CellMeasurement> {

@@ -7,7 +7,9 @@
 //! UE is a chain of three events at the same timestamp:
 //!
 //! 1. [`Phase::Measure`] — move along the route, sample the top-16 cells
-//!    (this is the UE's only RNG draw site besides handoff-delay jitter);
+//!    (this is the UE's only RNG draw site besides handoff-delay jitter)
+//!    and keep every audible cell's median in the UE's [`Survey`], which
+//!    the SINRs of the same epoch read;
 //! 2. [`Phase::Control`] — radio-link monitoring, pending-command
 //!    execution, measurement reporting and the network's handoff decision
 //!    (active UEs), or reselection (idle UEs);
@@ -33,15 +35,15 @@
 use crate::link::LinkModel;
 use crate::network::Network;
 use crate::run::{
-    find, log_broadcast, measure, min_binned, record_drive_telemetry, DriveConfig, DriveResult,
-    HandoffKind, HandoffRecord, RlfEvent,
+    find, log_broadcast, min_binned, record_drive_telemetry, DriveConfig, DriveResult, HandoffKind,
+    HandoffRecord, RlfEvent,
 };
 use mm_rng::SmallRng;
 use mmcore::config::Quantity;
 use mmcore::events::EventKind;
 use mmcore::handoff::decide;
 use mmcore::ue::{CellMeasurement, ConnectedUe, IdleUe};
-use mmradio::cell::CellId;
+use mmradio::cell::{CellId, MeasureScratch, Survey};
 use mmradio::geom::Point;
 use mmradio::rng::stream_rng;
 use mmsignaling::log::{Direction, LogEntry, SignalingLog};
@@ -266,13 +268,20 @@ pub fn record_engine_stats(stats: &EngineStats) {
     .record(stats.max_queue_depth);
 }
 
+/// Cells a UE reports per measurement epoch: the strongest this many.
+const REPORTED_CELLS: usize = 16;
+
 /// Live state of one UE between events.
 struct UeState {
     rng: SmallRng,
     connected: Option<ConnectedUe>,
     idle: Option<IdleUe>,
     pos: Point,
+    /// The strongest cells measured this epoch (at most [`REPORTED_CELLS`]).
     batch: Vec<CellMeasurement>,
+    /// The medians at `pos`, taken at Measure and read by the SINRs of the
+    /// same epoch's Control and Traffic.
+    survey: Survey,
     /// Pending network handoff command: `(exec_t, target, decisive,
     /// quantity, report_t, delay)`.
     pending: Option<(u64, CellId, EventKind, Quantity, u64, u64)>,
@@ -313,6 +322,7 @@ impl UeState {
             idle,
             pos: start,
             batch: Vec::new(),
+            survey: Survey::default(),
             pending: None,
             interruption_until: 0,
             last_handoff_t: None,
@@ -326,6 +336,23 @@ impl UeState {
             log,
             tally: UeTally::new(initial),
         })
+    }
+
+    /// Move to `pos` and sample the radio there: the strongest cells
+    /// become the epoch's batch, and the survey keeps the medians.
+    fn measure(&mut self, network: &Network, pos: Point, scratch: &mut MeasureScratch) {
+        self.pos = pos;
+        let deployment = &network.deployment;
+        let found = deployment.measure_into(pos, &mut self.rng, &mut self.survey, scratch);
+        let cells = deployment.cells();
+        self.batch.clear();
+        self.batch
+            .extend(found.iter().take(REPORTED_CELLS).map(|m| CellMeasurement {
+                cell: m.cell,
+                channel: cells[m.index].channel,
+                rsrp_dbm: m.sample.rsrp.dbm(),
+                rsrq_db: m.sample.rsrq.db(),
+            }));
     }
 
     fn serving(&self) -> CellId {
@@ -393,6 +420,7 @@ impl<'n> Engine<'n> {
     pub fn run(&self, cfgs: &[DriveConfig]) -> EngineOutcome {
         assert!(u32::try_from(cfgs.len()).is_ok(), "too many UEs per shard");
         let mut queue = EventQueue::new();
+        let mut scratch = MeasureScratch::default();
         let mut ues: Vec<Option<UeState>> = Vec::with_capacity(cfgs.len());
         for (i, cfg) in cfgs.iter().enumerate() {
             assert!(cfg.epoch_ms > 0, "epoch_ms must be positive");
@@ -414,8 +442,8 @@ impl<'n> Engine<'n> {
             };
             match ev.phase {
                 Phase::Measure => {
-                    st.pos = cfg.mobility.position(ev.t_ms as f64 / 1000.0);
-                    st.batch = measure(self.network, st.pos, &mut st.rng, 16);
+                    let pos = cfg.mobility.position(ev.t_ms as f64 / 1000.0);
+                    st.measure(self.network, pos, &mut scratch);
                     queue.push(ev.t_ms, ev.ue, Phase::Control);
                 }
                 Phase::Control => {
@@ -459,11 +487,12 @@ impl<'n> Engine<'n> {
             // drops any pending command, and re-establishes on the
             // strongest cell after an outage.
             if t >= st.interruption_until {
-                let sinr = network
+                let serving_at = network
                     .deployment
-                    .sinr(ue.serving(), st.pos)
+                    .index_of(ue.serving())
                     // mm-allow(E001): the serving cell was handed off from this same deployment
                     .expect("serving deployed");
+                let sinr = network.deployment.sinr_in(serving_at, &st.survey);
                 if sinr.0 < network.policy.rlf_qout_sinr_db {
                     let since = *st.out_of_sync_since.get_or_insert(t);
                     if t.saturating_sub(since) >= network.policy.rlf_t310_ms {
@@ -639,20 +668,23 @@ impl<'n> Engine<'n> {
             .expect("active mode")
             .serving();
         let in_interruption = t < st.interruption_until;
-        let bps = if in_interruption {
-            0.0
-        } else {
-            // mm-allow(E001): the serving cell was handed off from this same deployment
-            let cell = network.deployment.cell(serving).expect("serving deployed");
-            let sinr = network
-                .deployment
-                .sinr(serving, st.pos)
+        // The serving link this epoch: its model, load and SINR.
+        let link = (!in_interruption).then(|| {
+            let deployment = &network.deployment;
+            let at = deployment
+                .index_of(serving)
                 // mm-allow(E001): the serving cell was handed off from this same deployment
                 .expect("serving deployed");
-            let link = LinkModel::for_rat(cell.rat());
-            cfg.traffic
-                .goodput_bps(link.throughput_bps(sinr, cell.load))
-        };
+            let cell = &deployment.cells()[at];
+            (
+                LinkModel::for_rat(cell.rat()),
+                cell.load,
+                deployment.sinr_in(at, &st.survey),
+            )
+        });
+        let bps = link.map_or(0.0, |(model, load, sinr)| {
+            cfg.traffic.goodput_bps(model.throughput_bps(sinr, load))
+        });
         match self.mode {
             CollectMode::Full => st.throughput.push((t, bps)),
             CollectMode::Tally => {
@@ -660,15 +692,8 @@ impl<'n> Engine<'n> {
                 st.tally.throughput_bps_sum += bps as u64;
             }
         }
-        if cfg.traffic.ping_due(t, cfg.epoch_ms) && !in_interruption {
-            // mm-allow(E001): the serving cell was handed off from this same deployment
-            let cell = network.deployment.cell(serving).expect("serving deployed");
-            let sinr = network
-                .deployment
-                .sinr(serving, st.pos)
-                // mm-allow(E001): the serving cell was handed off from this same deployment
-                .expect("serving deployed");
-            if let Some(rtt) = LinkModel::for_rat(cell.rat()).rtt_ms(sinr) {
+        if let Some((model, _, sinr)) = link.filter(|_| cfg.traffic.ping_due(t, cfg.epoch_ms)) {
+            if let Some(rtt) = model.rtt_ms(sinr) {
                 match self.mode {
                     CollectMode::Full => st.ping_rtts.push((t, rtt)),
                     CollectMode::Tally => {

@@ -7,7 +7,7 @@
 
 use crate::band::{ChannelNumber, Rat};
 use crate::geom::Point;
-use crate::propagation::{PropagationModel, RadioSample};
+use crate::propagation::{PropagationModel, RadioSample, ShadowingAt};
 use crate::rng;
 use crate::signal::{noise_floor_dbm, rsrq_from_rssi, Dbm, Rsrp, Sinr};
 use mm_rng::Rng;
@@ -70,8 +70,72 @@ pub struct Deployment {
 pub struct Measurement {
     /// Which cell.
     pub cell: CellId,
+    /// Where the cell sits in [`Deployment::cells`].
+    pub index: usize,
     /// RSRP/RSRQ pair.
     pub sample: RadioSample,
+}
+
+/// The linear median power of every cell audible at one position, grouped
+/// by channel.
+///
+/// [`Deployment::measure_into`] fills it once per UE epoch;
+/// [`Deployment::sinr_in`] reads it for as long as the UE stays at that
+/// position, so an epoch computes each cell's path loss, shadowing and
+/// `powf` once. Refilling it reuses its buffers.
+#[derive(Debug, Clone, Default)]
+pub struct Survey {
+    pos: Point,
+    /// Each audible channel's group, in the order the channels were first
+    /// heard.
+    groups: Vec<Group>,
+    /// `(cell index, median mW)` of every audible cell, grouped by channel,
+    /// in ascending cell index within a group.
+    heard: Vec<(usize, f64)>,
+}
+
+/// The audible cells of one channel in a [`Survey`].
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    channel: ChannelNumber,
+    /// The channel's [`PropagationModel::channel_loss_db`].
+    loss_db: f64,
+    /// Where the group ends in `Survey::heard`.
+    end: usize,
+}
+
+impl Survey {
+    /// The range of `heard` holding group `slot`.
+    fn group_at(&self, slot: usize) -> core::ops::Range<usize> {
+        let start = slot
+            .checked_sub(1)
+            .and_then(|prev| self.groups.get(prev))
+            .map_or(0, |g| g.end);
+        let end = self.groups.get(slot).map_or(start, |g| g.end);
+        start..end
+    }
+
+    /// The audible cells on `channel`, in ascending cell index.
+    fn group(&self, channel: ChannelNumber) -> &[(usize, f64)] {
+        match self.groups.iter().position(|g| g.channel == channel) {
+            Some(slot) => &self.heard[self.group_at(slot)],
+            None => &[],
+        }
+    }
+}
+
+/// Working buffers of [`Deployment::measure_into`]. Nothing in them
+/// outlives a call, so one scratch can serve every UE of an engine.
+#[derive(Debug, Clone, Default)]
+pub struct MeasureScratch {
+    /// `(cell index, median dBm, channel slot)` of every audible cell, in
+    /// ascending cell index.
+    medians: Vec<(usize, f64, usize)>,
+    /// Each [`Survey`] entry's load-weighted RSSI contribution, aligned
+    /// with `Survey::heard`.
+    terms: Vec<f64>,
+    /// The last call's measurements.
+    found: Vec<Measurement>,
 }
 
 impl Deployment {
@@ -88,6 +152,11 @@ impl Deployment {
     /// Find a cell by id.
     pub fn cell(&self, id: CellId) -> Option<&PhyCell> {
         self.cells.iter().find(|c| c.id == id)
+    }
+
+    /// Where the cell `id` sits in [`Deployment::cells`].
+    pub fn index_of(&self, id: CellId) -> Option<usize> {
+        self.cells.iter().position(|c| c.id == id)
     }
 
     /// Number of cells.
@@ -108,13 +177,27 @@ impl Deployment {
     /// Median RSRP (path loss + shadowing, no measurement noise) of one cell
     /// at `pos`.
     pub fn median_rsrp(&self, cell: &PhyCell, pos: Point) -> Rsrp {
-        let d = cell.pos.distance(pos);
-        let p = self.model.received_power(
+        let shadowing = self.model.shadowing_at(pos);
+        let channel_loss_db = self.model.channel_loss_db(cell.channel);
+        self.median_at(cell, &shadowing, channel_loss_db, cell.pos.distance(pos))
+    }
+
+    /// [`Deployment::median_rsrp`] with the shadowing field at the UE
+    /// position and the channel loss prepared, and the site distance `d`
+    /// known.
+    fn median_at(
+        &self,
+        cell: &PhyCell,
+        shadowing: &ShadowingAt,
+        channel_loss_db: f64,
+        d: f64,
+    ) -> Rsrp {
+        let p = self.model.received_power_in(
+            shadowing,
+            channel_loss_db,
             u64::from(cell.id.0),
             cell.tx_power_dbm,
             d,
-            cell.channel,
-            pos,
         );
         Rsrp::new(p.0)
     }
@@ -123,18 +206,26 @@ impl Deployment {
     /// from `rng`; RSRQ accounts for co-channel interference and per-cell
     /// load. Results are sorted by descending RSRP.
     pub fn measure_all<R: Rng + ?Sized>(&self, pos: Point, rng: &mut R) -> Vec<Measurement> {
-        // First pass: median powers per cell (needed for co-channel RSSI).
-        let medians: Vec<(usize, f64)> = self
-            .cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.pos.distance(pos) <= MAX_AUDIBLE_DISTANCE_M)
-            .map(|(i, c)| (i, self.median_rsrp(c, pos).dbm()))
-            .collect();
+        let mut scratch = MeasureScratch::default();
+        self.measure_into(pos, rng, &mut Survey::default(), &mut scratch);
+        scratch.found
+    }
 
+    /// [`Deployment::measure_all`] into reusable buffers: `survey` is left
+    /// holding the medians at `pos` for [`Deployment::sinr_in`].
+    pub fn measure_into<'s, R: Rng + ?Sized>(
+        &self,
+        pos: Point,
+        rng: &mut R,
+        survey: &mut Survey,
+        scratch: &'s mut MeasureScratch,
+    ) -> &'s [Measurement] {
+        self.fill_survey(pos, None, survey, scratch);
+        let n = f64::from(MEAS_BANDWIDTH_PRB);
         let noise_mw = noise_floor_dbm(9e6).to_mw();
-        let mut out = Vec::new();
-        for &(i, median_dbm) in &medians {
+        scratch.found.clear();
+        scratch.found.reserve(scratch.medians.len());
+        for &(i, median_dbm, slot) in &scratch.medians {
             if median_dbm < DETECTION_FLOOR_DBM {
                 continue;
             }
@@ -143,55 +234,140 @@ impl Deployment {
             let rsrp = Rsrp::new(median_dbm + noise);
 
             // RSSI over the measurement bandwidth: serving RS power scaled to
-            // full band + co-channel interferers weighted by their load.
-            let n = f64::from(MEAS_BANDWIDTH_PRB);
+            // full band + co-channel interferers weighted by their load. The
+            // interferers are summed term by term, never as "channel total
+            // minus own", so every f64 matches the pairwise definition.
             let own_mw = Dbm(rsrp.dbm()).to_mw() * n * (1.0 + 11.0 * cell.load);
+            let group = survey.group_at(slot);
             let mut interf_mw = 0.0;
-            for &(j, other_dbm) in &medians {
-                if j == i || self.cells[j].channel != cell.channel {
-                    continue;
+            for (&(j, _), &term) in survey.heard[group.clone()]
+                .iter()
+                .zip(&scratch.terms[group])
+            {
+                if j != i {
+                    // Accumulation order is the fixed `cells` order, identical on every run.
+                    interf_mw += term;
                 }
-                let other = &self.cells[j];
-                // mm-allow(F001): accumulation order is the fixed `cells` order, identical on every run
-                interf_mw += Dbm(other_dbm).to_mw() * n * (1.0 + 11.0 * other.load);
             }
             let rssi = Dbm::from_mw(own_mw + interf_mw + noise_mw * n);
             let rsrq = rsrq_from_rssi(rsrp, rssi, MEAS_BANDWIDTH_PRB);
-            out.push(Measurement {
+            scratch.found.push(Measurement {
                 cell: cell.id,
+                index: i,
                 sample: RadioSample { rsrp, rsrq },
             });
         }
-        out.sort_by(|a, b| {
+        // The index tie-break makes the unstable sort agree with a stable
+        // sort of the ascending-index input.
+        scratch.found.sort_unstable_by(|a, b| {
             b.sample
                 .rsrp
                 .dbm()
                 .total_cmp(&a.sample.rsrp.dbm())
                 .then(a.cell.cmp(&b.cell))
+                .then(a.index.cmp(&b.index))
         });
-        out
+        &scratch.found
     }
 
-    /// Downlink SINR of `cell` at `pos` given median powers (used by the
-    /// throughput model).
-    pub fn sinr(&self, cell_id: CellId, pos: Point) -> Option<Sinr> {
-        let cell = self.cell(cell_id)?;
-        let own = self.median_rsrp(cell, pos).dbm();
-        let mut interf_mw = 0.0;
-        for other in &self.cells {
-            if other.id == cell_id
-                || other.channel != cell.channel
-                || other.pos.distance(pos) > MAX_AUDIBLE_DISTANCE_M
-            {
+    /// Fill `survey` with every cell audible at `pos` (only those on
+    /// channel `only`, if given), and `scratch` with their medians in
+    /// ascending cell index and their RSSI terms.
+    fn fill_survey(
+        &self,
+        pos: Point,
+        only: Option<ChannelNumber>,
+        survey: &mut Survey,
+        scratch: &mut MeasureScratch,
+    ) {
+        // The scratch is sized once for the whole deployment, so refills
+        // never regrow it; each UE's survey only for the cells it hears.
+        let most = self.cells.len();
+        survey.pos = pos;
+        survey.groups.clear();
+        survey.heard.clear();
+        scratch.medians.clear();
+        scratch.medians.reserve(most);
+        scratch.terms.clear();
+        scratch.terms.reserve(most);
+        let shadowing = self.model.shadowing_at(pos);
+        for (i, c) in self.cells.iter().enumerate() {
+            if only.is_some_and(|ch| ch != c.channel) {
                 continue;
             }
-            let p = self.median_rsrp(other, pos).dbm();
-            // mm-allow(F001): accumulation order is the fixed `cells` order, identical on every run
-            interf_mw += Dbm(p).to_mw() * other.load.max(0.05);
+            let d = c.pos.distance(pos);
+            if d > MAX_AUDIBLE_DISTANCE_M {
+                continue;
+            }
+            let slot = match survey.groups.iter().position(|g| g.channel == c.channel) {
+                Some(slot) => slot,
+                None => {
+                    survey.groups.push(Group {
+                        channel: c.channel,
+                        loss_db: self.model.channel_loss_db(c.channel),
+                        end: 0,
+                    });
+                    survey.groups.len() - 1
+                }
+            };
+            let loss_db = survey.groups[slot].loss_db;
+            let median = self.median_at(c, &shadowing, loss_db, d);
+            scratch.medians.push((i, median.dbm(), slot));
         }
+        // Group by channel, keeping ascending cell index inside each group.
+        survey.heard.reserve_exact(scratch.medians.len());
+        let n = f64::from(MEAS_BANDWIDTH_PRB);
+        for (slot, group) in survey.groups.iter_mut().enumerate() {
+            for &(i, median_dbm, s) in &scratch.medians {
+                if s == slot {
+                    let mw = Dbm(median_dbm).to_mw();
+                    survey.heard.push((i, mw));
+                    scratch
+                        .terms
+                        .push(mw * n * (1.0 + 11.0 * self.cells[i].load));
+                }
+            }
+            group.end = survey.heard.len();
+        }
+    }
+
+    /// Downlink SINR of `cell_id` at `pos` given median powers (used by the
+    /// throughput model): [`Deployment::sinr_in`] over a one-off survey of
+    /// the cell's channel.
+    pub fn sinr(&self, cell_id: CellId, pos: Point) -> Option<Sinr> {
+        let index = self.index_of(cell_id)?;
+        let mut survey = Survey::default();
+        let only = Some(self.cells[index].channel);
+        self.fill_survey(pos, only, &mut survey, &mut MeasureScratch::default());
+        Some(self.sinr_in(index, &survey))
+    }
+
+    /// Downlink SINR of the cell at `index` from the medians in `survey`,
+    /// at the survey's position. A cell beyond the audibility cut is not
+    /// in the survey; its own power falls back to
+    /// [`Deployment::median_rsrp`].
+    ///
+    /// Panics if `index` is out of range.
+    pub fn sinr_in(&self, index: usize, survey: &Survey) -> Sinr {
+        let cell = &self.cells[index];
+        let mut own_mw = None;
+        let mut interf_mw = 0.0;
+        for &(j, mw) in survey.group(cell.channel) {
+            let other = &self.cells[j];
+            if j == index {
+                own_mw = Some(mw);
+            }
+            if other.id == cell.id {
+                continue;
+            }
+            // mm-allow(F001): accumulation order is the fixed `cells` order, identical on every run
+            interf_mw += mw * other.load.max(0.05);
+        }
+        let own_mw =
+            own_mw.unwrap_or_else(|| Dbm(self.median_rsrp(cell, survey.pos).dbm()).to_mw());
         // Per-RE noise: thermal over one 15 kHz subcarrier.
         let noise_mw = noise_floor_dbm(15e3).to_mw();
-        Some(Sinr::from_linear(Dbm(own).to_mw() / (interf_mw + noise_mw)))
+        Sinr::from_linear(own_mw / (interf_mw + noise_mw))
     }
 
     /// Cells whose site lies within `radius_m` of `pos`.
@@ -335,6 +511,200 @@ mod tests {
         let d = two_cell_deployment();
         assert_eq!(d.cells_within(Point::new(0.0, 0.0), 100.0).len(), 1);
         assert_eq!(d.cells_within(Point::new(1000.0, 0.0), 1500.0).len(), 2);
+    }
+
+    /// A 365-cell city shaped like `mmlab::campaign::city_network`'s: 363
+    /// cells scattered over a 20 km square on four shared channels, loads
+    /// in `[0.15, 0.6)`, plus one cell alone on its own channel and one
+    /// site far outside the city.
+    fn city() -> Deployment {
+        const CITY_M: f64 = 20_000.0;
+        let shared = [850, 1975, 5110, 9820].map(ChannelNumber::earfcn);
+        let mut rng = SmallRng::seed_from_u64(2018);
+        let mut cells: Vec<PhyCell> = (0..363u32)
+            .map(|i| PhyCell {
+                load: rng.gen_range(0.15..0.6),
+                ..cell(
+                    1000 + i,
+                    rng.gen_range(0.0..CITY_M),
+                    rng.gen_range(0.0..CITY_M),
+                    shared[i as usize % shared.len()],
+                    46.0,
+                )
+            })
+            .collect();
+        cells.push(cell(
+            5,
+            9_000.0,
+            11_000.0,
+            ChannelNumber::earfcn(2300),
+            46.0,
+        ));
+        cells.push(cell(7, 60_000.0, 60_000.0, shared[0], 46.0));
+        Deployment::new(cells, PropagationModel::new(Environment::DenseUrban, 0xC1))
+    }
+
+    /// Seeded positions across the city, its corners (where sites sit
+    /// beyond the audibility cut), and one far outside it, where nothing is
+    /// detected.
+    fn city_positions() -> Vec<Point> {
+        let mut rng = SmallRng::seed_from_u64(365);
+        let mut at: Vec<Point> = (0..24)
+            .map(|_| Point::new(rng.gen_range(0.0..20_000.0), rng.gen_range(0.0..20_000.0)))
+            .collect();
+        at.extend([
+            Point::new(0.0, 0.0),
+            Point::new(20_000.0, 20_000.0),
+            Point::new(9_050.0, 11_020.0),
+            Point::new(-200_000.0, 0.0),
+        ]);
+        at
+    }
+
+    /// The pairwise definition of `measure_all`: for every detected cell,
+    /// rescan the audible cells and convert each co-channel median.
+    fn measure_all_pairwise<R: Rng + ?Sized>(
+        d: &Deployment,
+        pos: Point,
+        rng: &mut R,
+    ) -> Vec<(CellId, RadioSample)> {
+        let medians: Vec<(usize, f64)> = d
+            .cells()
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.pos.distance(pos) <= MAX_AUDIBLE_DISTANCE_M)
+            .map(|(i, c)| (i, d.median_rsrp(c, pos).dbm()))
+            .collect();
+        let noise_mw = noise_floor_dbm(9e6).to_mw();
+        let mut out = Vec::new();
+        for &(i, median_dbm) in &medians {
+            if median_dbm < DETECTION_FLOOR_DBM {
+                continue;
+            }
+            let cell = &d.cells()[i];
+            let noise = rng::normal(rng, 0.0, d.model.measurement_noise_db);
+            let rsrp = Rsrp::new(median_dbm + noise);
+            let n = f64::from(MEAS_BANDWIDTH_PRB);
+            let own_mw = Dbm(rsrp.dbm()).to_mw() * n * (1.0 + 11.0 * cell.load);
+            let mut interf_mw = 0.0;
+            for &(j, other_dbm) in &medians {
+                if j == i || d.cells()[j].channel != cell.channel {
+                    continue;
+                }
+                interf_mw += Dbm(other_dbm).to_mw() * n * (1.0 + 11.0 * d.cells()[j].load);
+            }
+            let rssi = Dbm::from_mw(own_mw + interf_mw + noise_mw * n);
+            let rsrq = rsrq_from_rssi(rsrp, rssi, MEAS_BANDWIDTH_PRB);
+            out.push((cell.id, RadioSample { rsrp, rsrq }));
+        }
+        out.sort_by(|a, b| {
+            b.1.rsrp
+                .dbm()
+                .total_cmp(&a.1.rsrp.dbm())
+                .then(a.0.cmp(&b.0))
+        });
+        out
+    }
+
+    /// The full-scan definition of `sinr`: every co-channel audible cell's
+    /// median recomputed from the propagation model.
+    fn sinr_full_scan(d: &Deployment, cell_id: CellId, pos: Point) -> Sinr {
+        let cell = d.cell(cell_id).unwrap();
+        let own = d.median_rsrp(cell, pos).dbm();
+        let mut interf_mw = 0.0;
+        for other in d.cells() {
+            if other.id == cell_id
+                || other.channel != cell.channel
+                || other.pos.distance(pos) > MAX_AUDIBLE_DISTANCE_M
+            {
+                continue;
+            }
+            let p = d.median_rsrp(other, pos).dbm();
+            interf_mw += Dbm(p).to_mw() * other.load.max(0.05);
+        }
+        let noise_mw = noise_floor_dbm(15e3).to_mw();
+        Sinr::from_linear(Dbm(own).to_mw() / (interf_mw + noise_mw))
+    }
+
+    #[test]
+    fn measure_all_is_bit_identical_to_the_pairwise_loop() {
+        let d = city();
+        assert!(d.len() >= 300);
+        let (mut survey, mut scratch) = (Survey::default(), MeasureScratch::default());
+        let mut sizes = Vec::new();
+        for (k, pos) in city_positions().into_iter().enumerate() {
+            let mut want_rng = SmallRng::seed_from_u64(k as u64);
+            let mut got_rng = want_rng.clone();
+            let want = measure_all_pairwise(&d, pos, &mut want_rng);
+            let got = d.measure_into(pos, &mut got_rng, &mut survey, &mut scratch);
+            assert_eq!(got.len(), want.len(), "at {pos:?}");
+            for (g, (id, w)) in got.iter().zip(&want) {
+                assert_eq!(g.cell, *id, "order at {pos:?}");
+                assert_eq!(d.cells()[g.index].id, g.cell);
+                assert_eq!(g.sample.rsrp.dbm().to_bits(), w.rsrp.dbm().to_bits());
+                assert_eq!(g.sample.rsrq.db().to_bits(), w.rsrq.db().to_bits());
+            }
+            // Same number of noise draws: both streams continue in step.
+            assert_eq!(got_rng.gen::<u64>(), want_rng.gen::<u64>());
+            // The allocating wrapper is the same computation.
+            let wrapped = d.measure_all(pos, &mut SmallRng::seed_from_u64(k as u64));
+            assert_eq!(wrapped.as_slice(), got);
+            sizes.push(got.len());
+        }
+        assert_eq!(sizes.last(), Some(&0), "nothing is detected far outside");
+        assert!(sizes.iter().any(|&n| n > 50), "{sizes:?}");
+        // The lone-channel cell is measured, with no co-channel interferer.
+        let near_lone = Point::new(9_050.0, 11_020.0);
+        let ms = d.measure_all(near_lone, &mut SmallRng::seed_from_u64(1));
+        assert!(ms.iter().any(|m| m.cell == CellId(5)));
+    }
+
+    #[test]
+    fn sinr_from_the_survey_is_bit_identical_to_the_full_scan() {
+        let d = city();
+        let (mut survey, mut scratch) = (Survey::default(), MeasureScratch::default());
+        let mut beyond_cut = 0;
+        for (k, pos) in city_positions().into_iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64(k as u64);
+            d.measure_into(pos, &mut rng, &mut survey, &mut scratch);
+            assert_eq!(survey.pos, pos);
+            for (i, c) in d.cells().iter().enumerate() {
+                let want = sinr_full_scan(&d, c.id, pos).0.to_bits();
+                assert_eq!(
+                    d.sinr_in(i, &survey).0.to_bits(),
+                    want,
+                    "{} at {pos:?}",
+                    c.id
+                );
+                assert_eq!(d.sinr(c.id, pos).unwrap().0.to_bits(), want);
+                if c.pos.distance(pos) > MAX_AUDIBLE_DISTANCE_M {
+                    beyond_cut += 1;
+                }
+            }
+        }
+        assert!(beyond_cut > 0, "the fallback path must be exercised");
+        assert_eq!(d.sinr(CellId(99_999), Point::new(0.0, 0.0)), None);
+    }
+
+    #[test]
+    fn a_lone_channel_sees_only_noise() {
+        let d = city();
+        let pos = Point::new(9_050.0, 11_020.0);
+        let lone = d.index_of(CellId(5)).unwrap();
+        let mut survey = Survey::default();
+        d.measure_into(
+            pos,
+            &mut SmallRng::seed_from_u64(3),
+            &mut survey,
+            &mut MeasureScratch::default(),
+        );
+        assert_eq!(survey.group(d.cells()[lone].channel).len(), 1);
+        let own_mw = Dbm(d.median_rsrp(&d.cells()[lone], pos).dbm()).to_mw();
+        let noise_mw = noise_floor_dbm(15e3).to_mw();
+        assert_eq!(
+            d.sinr_in(lone, &survey).0.to_bits(),
+            Sinr::from_linear(own_mw / (0.0 + noise_mw)).0.to_bits()
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 
 use crate::band::ChannelNumber;
 use crate::geom::Point;
-use crate::rng;
 use crate::signal::{Dbm, Rsrp, Rsrq};
+use mm_rng::LatticeSquare;
 
 /// Deployment environment, controlling path-loss exponent and shadowing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,9 +99,20 @@ impl PropagationModel {
     ///
     /// `PL = PL0 + 20·log10(f/1GHz) + 10·n·log10(max(d, 1))`
     pub fn path_loss_db(&self, d_m: f64, chan: ChannelNumber) -> f64 {
+        self.path_loss_from(self.channel_loss_db(chan), d_m)
+    }
+
+    /// The part of the path loss fixed by the channel: `PL0 + 20·log10(f/1GHz)`.
+    pub(crate) fn channel_loss_db(&self, chan: ChannelNumber) -> f64 {
         let f_ghz = chan.frequency_mhz().unwrap_or(1900.0) / 1000.0;
+        self.pl0_db + 20.0 * f_ghz.max(0.1).log10()
+    }
+
+    /// [`PropagationModel::path_loss_db`] given the channel's
+    /// [`PropagationModel::channel_loss_db`].
+    pub(crate) fn path_loss_from(&self, channel_loss_db: f64, d_m: f64) -> f64 {
         let n = self.environment.path_loss_exponent();
-        self.pl0_db + 20.0 * f_ghz.max(0.1).log10() + 10.0 * n * d_m.max(1.0).log10()
+        channel_loss_db + 10.0 * n * d_m.max(1.0).log10()
     }
 
     /// Correlated shadowing in dB for a cell at a UE position.
@@ -112,20 +123,16 @@ impl PropagationModel {
     /// scale, is independent across cells, and is reproducible from the
     /// seed alone.
     pub fn shadowing_db(&self, cell_label: u64, pos: Point) -> f64 {
+        self.shadowing_at(pos).db(cell_label)
+    }
+
+    /// The shadowing field at `pos`, ready to be read for any cell.
+    pub(crate) fn shadowing_at(&self, pos: Point) -> ShadowingAt {
         let dx = self.environment.decorrelation_distance_m();
         let gx = pos.x / dx;
         let gy = pos.y / dx;
-        let ix = gx.floor() as i64;
-        let iy = gy.floor() as i64;
         let fx = gx - gx.floor();
         let fy = gy - gy.floor();
-        let v00 = rng::lattice_normal(self.seed, cell_label, ix, iy);
-        let v10 = rng::lattice_normal(self.seed, cell_label, ix + 1, iy);
-        let v01 = rng::lattice_normal(self.seed, cell_label, ix, iy + 1);
-        let v11 = rng::lattice_normal(self.seed, cell_label, ix + 1, iy + 1);
-        let v0 = v00 + (v10 - v00) * fx;
-        let v1 = v01 + (v11 - v01) * fx;
-        let v = v0 + (v1 - v0) * fy;
         // Bilinear interpolation shrinks variance between lattice sites;
         // renormalize by the expected variance at the interpolation point so
         // sigma stays environment-accurate everywhere.
@@ -134,7 +141,14 @@ impl PropagationModel {
         let w01 = (1.0 - fx) * fy;
         let w11 = fx * fy;
         let norm = (w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11).sqrt();
-        self.environment.shadowing_sigma_db() * v / norm.max(1e-6)
+        ShadowingAt {
+            seed: self.seed,
+            square: LatticeSquare::new(gx.floor() as i64, gy.floor() as i64),
+            fx,
+            fy,
+            sigma_db: self.environment.shadowing_sigma_db(),
+            norm: norm.max(1e-6),
+        }
     }
 
     /// Median received power (no noise) for a transmitter of `tx_power_dbm`
@@ -147,9 +161,50 @@ impl PropagationModel {
         chan: ChannelNumber,
         pos: Point,
     ) -> Dbm {
-        let pl = self.path_loss_db(d_m, chan);
-        let sh = self.shadowing_db(cell_label, pos);
+        let shadowing = self.shadowing_at(pos);
+        let channel_loss_db = self.channel_loss_db(chan);
+        self.received_power_in(&shadowing, channel_loss_db, cell_label, tx_power_dbm, d_m)
+    }
+
+    /// [`PropagationModel::received_power`] with the shadowing field at the
+    /// UE position and the channel's [`PropagationModel::channel_loss_db`]
+    /// already prepared.
+    pub(crate) fn received_power_in(
+        &self,
+        shadowing: &ShadowingAt,
+        channel_loss_db: f64,
+        cell_label: u64,
+        tx_power_dbm: Dbm,
+        d_m: f64,
+    ) -> Dbm {
+        let pl = self.path_loss_from(channel_loss_db, d_m);
+        let sh = shadowing.db(cell_label);
         Dbm(tx_power_dbm.0 - pl + sh)
+    }
+}
+
+/// The shadowing field at one UE position: the lattice square it falls in
+/// and the interpolation weights. Every cell heard at that position shares
+/// them, so only the cell's own lattice values are left to compute.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShadowingAt {
+    seed: u64,
+    square: LatticeSquare,
+    fx: f64,
+    fy: f64,
+    sigma_db: f64,
+    /// Interpolated-variance normalizer, floored away from zero.
+    norm: f64,
+}
+
+impl ShadowingAt {
+    /// Shadowing in dB of the cell labelled `cell_label`.
+    pub(crate) fn db(&self, cell_label: u64) -> f64 {
+        let [v00, v10, v01, v11] = self.square.normals(self.seed, cell_label);
+        let v0 = v00 + (v10 - v00) * self.fx;
+        let v1 = v01 + (v11 - v01) * self.fx;
+        let v = v0 + (v1 - v0) * self.fy;
+        self.sigma_db * v / self.norm
     }
 }
 
@@ -186,6 +241,58 @@ mod tests {
         let p = Point::new(123.4, -567.8);
         assert_eq!(m.shadowing_db(5, p), m.shadowing_db(5, p));
         assert_ne!(m.shadowing_db(5, p), m.shadowing_db(6, p));
+    }
+
+    /// The shadowing field evaluated corner by corner, straight from its
+    /// definition.
+    fn shadowing_by_definition(m: &PropagationModel, cell_label: u64, pos: Point) -> f64 {
+        let dx = m.environment.decorrelation_distance_m();
+        let (gx, gy) = (pos.x / dx, pos.y / dx);
+        let (ix, iy) = (gx.floor() as i64, gy.floor() as i64);
+        let (fx, fy) = (gx - gx.floor(), gy - gy.floor());
+        let v00 = mm_rng::lattice_normal(m.seed, cell_label, ix, iy);
+        let v10 = mm_rng::lattice_normal(m.seed, cell_label, ix + 1, iy);
+        let v01 = mm_rng::lattice_normal(m.seed, cell_label, ix, iy + 1);
+        let v11 = mm_rng::lattice_normal(m.seed, cell_label, ix + 1, iy + 1);
+        let v0 = v00 + (v10 - v00) * fx;
+        let v1 = v01 + (v11 - v01) * fx;
+        let v = v0 + (v1 - v0) * fy;
+        let w00 = (1.0 - fx) * (1.0 - fy);
+        let w10 = fx * (1.0 - fy);
+        let w01 = (1.0 - fx) * fy;
+        let w11 = fx * fy;
+        let norm = (w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11).sqrt();
+        m.environment.shadowing_sigma_db() * v / norm.max(1e-6)
+    }
+
+    #[test]
+    fn split_path_loss_is_bit_identical_to_the_definition() {
+        let m = model();
+        for chan in [850, 5110, 9820, 70_000].map(ChannelNumber::earfcn) {
+            let f_ghz = chan.frequency_mhz().unwrap_or(1900.0) / 1000.0;
+            for d in [0.5f64, 1.0, 37.0, 812.5, 14_999.0] {
+                let want = m.pl0_db
+                    + 20.0 * f_ghz.max(0.1).log10()
+                    + 10.0 * m.environment.path_loss_exponent() * f64::log10(d.max(1.0));
+                assert_eq!(m.path_loss_db(d, chan).to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_shadowing_is_bit_identical_to_the_definition() {
+        let m = model();
+        for k in 0..200u32 {
+            let k = f64::from(k);
+            // Both signs, lattice corners exactly, and points between them.
+            let pos = Point::new(k * 37.3 - 3_000.0, 5_000.0 - k * 110.0);
+            let at = m.shadowing_at(pos);
+            for cell in [0, 1, 77, 1_000_363] {
+                let want = shadowing_by_definition(&m, cell, pos).to_bits();
+                assert_eq!(at.db(cell).to_bits(), want, "cell {cell} at {pos:?}");
+                assert_eq!(m.shadowing_db(cell, pos).to_bits(), want);
+            }
+        }
     }
 
     #[test]

@@ -265,16 +265,53 @@ pub fn normal<R: RngCore + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
 /// spatially correlated shadowing fields (same site, same value, any order
 /// of evaluation).
 pub fn lattice_uniform(master: u64, cell: u64, ix: i64, iy: i64) -> f64 {
-    let h = sub_seed3(master, cell, ix as u64, iy as u64);
-    // 53-bit mantissa → [0, 1)
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    unit_of(sub_seed3(master, cell, ix as u64, iy as u64))
 }
 
 /// Deterministic standard-normal value for an integer lattice site, via the
 /// inverse-CDF rational approximation of Acklam (max abs error ~1.15e-9).
 pub fn lattice_normal(master: u64, cell: u64, ix: i64, iy: i64) -> f64 {
-    let p = lattice_uniform(master, cell, ix, iy).clamp(1e-12, 1.0 - 1e-12);
-    inverse_normal_cdf(p)
+    normal_of(sub_seed3(master, cell, ix as u64, iy as u64))
+}
+
+/// A site hash as a unit-interval value: its 53-bit mantissa → `[0, 1)`.
+fn unit_of(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// A site hash as a standard-normal value.
+fn normal_of(h: u64) -> f64 {
+    inverse_normal_cdf(unit_of(h).clamp(1e-12, 1.0 - 1e-12))
+}
+
+/// The four corners of one lattice square, `(ix, iy)`, `(ix + 1, iy)`,
+/// `(ix, iy + 1)` and `(ix + 1, iy + 1)`, with each coordinate hashed once.
+/// A field sampled for many cells at one point then costs two hashes per
+/// cell and corner instead of six.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatticeSquare {
+    hx: [u64; 2],
+    hy: [u64; 2],
+}
+
+impl LatticeSquare {
+    /// The square whose lower-left corner is `(ix, iy)`.
+    pub fn new(ix: i64, iy: i64) -> LatticeSquare {
+        LatticeSquare {
+            hx: [splitmix64(ix as u64), splitmix64((ix + 1) as u64)],
+            hy: [splitmix64(iy as u64), splitmix64((iy + 1) as u64)],
+        }
+    }
+
+    /// [`lattice_normal`] of `(master, cell)` at the four corners, in the
+    /// order above.
+    pub fn normals(&self, master: u64, cell: u64) -> [f64; 4] {
+        // sub_seed3(master, cell, x, y) = sub_seed(sub_seed(sub_seed(master, cell), x), y)
+        let s = sub_seed(master, cell);
+        let [x0, x1] = self.hx.map(|hx| splitmix64(s ^ hx));
+        let [y0, y1] = self.hy;
+        [x0 ^ y0, x1 ^ y0, x0 ^ y1, x1 ^ y1].map(|h| normal_of(splitmix64(h)))
+    }
 }
 
 /// Acklam's inverse normal CDF approximation.
@@ -371,6 +408,22 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, lattice_normal(9, 1, 11, -3));
         assert_ne!(a, lattice_normal(9, 2, 10, -3));
+    }
+
+    #[test]
+    fn lattice_square_matches_lattice_normal_at_its_corners() {
+        for (ix, iy) in [(0, 0), (10, -3), (-7, 42), (i64::MAX - 1, i64::MIN)] {
+            for cell in [0, 1, 365, u64::MAX] {
+                let got = LatticeSquare::new(ix, iy).normals(9, cell);
+                let want = [
+                    lattice_normal(9, cell, ix, iy),
+                    lattice_normal(9, cell, ix + 1, iy),
+                    lattice_normal(9, cell, ix, iy + 1),
+                    lattice_normal(9, cell, ix + 1, iy + 1),
+                ];
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+            }
+        }
     }
 
     #[test]
