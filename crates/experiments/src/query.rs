@@ -763,10 +763,7 @@ impl QueryEngine {
             })?;
         let mut reader =
             D1StoreReader::new(BufReader::new(file))?.with_predicate(&pred.without_rounds());
-        let mut instances = Vec::new();
-        for row in reader.by_ref() {
-            instances.push(row?);
-        }
+        let instances = reader.by_ref().collect::<Result<Vec<_>, MmError>>()?;
         Ok((instances, reader.scan_stats()))
     }
 

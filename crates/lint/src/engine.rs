@@ -473,6 +473,8 @@ fn sort_diags(diags: &mut [Diagnostic]) {
 const SKIP_DIRS: &[&str] = &["target", "fixtures", "node_modules"];
 
 /// Recursively collect workspace files, sorted for deterministic reports.
+/// A subdirectory whose `Cargo.toml` declares a `[workspace]` of its own is
+/// not a member of this workspace and is not descended into.
 fn walk(dir: &Path, root: &Path, files: &mut Vec<(String, PathBuf)>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
@@ -483,7 +485,7 @@ fn walk(dir: &Path, root: &Path, files: &mut Vec<(String, PathBuf)>) -> std::io:
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if name.starts_with('.') || SKIP_DIRS.contains(&name) {
+            if name.starts_with('.') || SKIP_DIRS.contains(&name) || is_nested_workspace(&path) {
                 continue;
             }
             walk(&path, root, files)?;
@@ -497,6 +499,12 @@ fn walk(dir: &Path, root: &Path, files: &mut Vec<(String, PathBuf)>) -> std::io:
         }
     }
     Ok(())
+}
+
+/// Does `dir` hold a `Cargo.toml` that declares a workspace table?
+fn is_nested_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|src| manifest::declares_workspace(&src))
 }
 
 /// Knobs for a workspace analysis.

@@ -111,6 +111,15 @@ pub fn parse(src: &str) -> Manifest {
     m
 }
 
+/// Does the manifest declare a `[workspace]` table (or one of its
+/// `[workspace.*]` subtables)? Such a package roots a workspace of its own.
+pub fn declares_workspace(src: &str) -> bool {
+    src.lines().any(|raw| {
+        let line = raw.trim();
+        line == "[workspace]" || line.starts_with("[workspace.")
+    })
+}
+
 /// Classify a dependency right-hand side.
 fn classify_value(value: &str) -> (DepSource, Option<String>) {
     if value.starts_with('{') {

@@ -179,3 +179,34 @@ fn version_flag_prints_the_crate_version() {
         format!("mmlint {}", env!("CARGO_PKG_VERSION"))
     );
 }
+
+#[test]
+fn nested_cargo_workspaces_are_not_linted() {
+    // A package declaring its own `[workspace]` is not a member of the
+    // linted workspace; a plain subdirectory still is.
+    let root = std::env::temp_dir().join(format!("mmlint-nested-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let wall_clock = "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n";
+    let files = [
+        ("Cargo.toml", "[workspace]\n"),
+        (
+            "nested/Cargo.toml",
+            "[package]\nname = \"nested\"\n\n[workspace]\n",
+        ),
+        ("nested/src/lib.rs", wall_clock),
+        ("plain/src/lib.rs", wall_clock),
+    ];
+    for (rel, text) in files {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, text).unwrap();
+    }
+    let report = analyze_workspace(&root).expect("temp workspace walk");
+    let _ = std::fs::remove_dir_all(&root);
+    let found: Vec<(&str, &str)> = report
+        .diagnostics
+        .iter()
+        .map(|d| (d.rule, d.file.as_str()))
+        .collect();
+    assert_eq!(found, [("D002", "plain/src/lib.rs")]);
+}

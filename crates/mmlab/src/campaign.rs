@@ -19,7 +19,7 @@ use mmcore::config::CellConfig;
 use mmnetsim::mobility::{Mobility, CITY_SPEED_MPS};
 use mmnetsim::network::Network;
 use mmnetsim::run::{drive, DriveConfig};
-use mmnetsim::sched::{record_engine_stats, Engine};
+use mmnetsim::sched::run_full;
 use mmradio::band::Rat;
 use mmradio::cell::{CellId, Deployment, PhyCell};
 use mmradio::propagation::{Environment, PropagationModel};
@@ -212,22 +212,9 @@ fn campaign_shard(
     cfg: &CampaignConfig,
 ) -> Vec<Vec<HandoffInstance>> {
     let cfgs: Vec<DriveConfig> = runs.map(|run| run_drive_config(cfg, run)).collect();
-    let outcome = Engine::new(network).run(&cfgs);
-    record_engine_stats(&outcome.stats);
-    outcome
-        .ues
+    run_full(network, &cfgs)
         .into_iter()
-        .map(|ue| {
-            let result = ue.map(|out| {
-                let run = out
-                    .into_full()
-                    // mm-allow(E001): Engine::new collects CollectMode::Full
-                    .expect("full collection mode");
-                run.record_telemetry();
-                run.result
-            });
-            tag_instances(result, carrier, city)
-        })
+        .map(|result| tag_instances(result, carrier, city))
         .collect()
 }
 

@@ -44,7 +44,7 @@ pub struct ConfigSample {
 /// Dataset D2: configuration samples.
 ///
 /// The sample store is private: all access goes through the typed query
-/// accessors ([`iter`](D2::iter), [`filter_carrier`](D2::filter_carrier),
+/// accessors ([`iter`](D2::iter), [`filter`](D2::filter),
 /// [`by_city`](D2::by_city), …) so the internal representation can later be
 /// sharded without touching the figure code.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -128,15 +128,6 @@ impl D2 {
     /// All samples, in crawl order.
     pub fn iter(&self) -> std::slice::Iter<'_, ConfigSample> {
         self.samples.iter()
-    }
-
-    /// Samples of one carrier.
-    #[deprecated(note = "use `filter(&Predicate::any().carrier(..))` — the shared predicate view")]
-    pub fn filter_carrier<'a>(
-        &'a self,
-        carrier: &'a str,
-    ) -> impl Iterator<Item = &'a ConfigSample> + 'a {
-        self.samples.iter().filter(move |s| s.carrier == carrier)
     }
 
     /// Samples observed in one city.
@@ -277,15 +268,6 @@ impl D1 {
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
         self.instances.is_empty()
-    }
-
-    /// Instances of one carrier.
-    #[deprecated(note = "use `filter(&Predicate::any().carrier(..))` — the shared predicate view")]
-    pub fn filter_carrier<'a>(
-        &'a self,
-        carrier: &'a str,
-    ) -> impl Iterator<Item = &'a HandoffInstance> + 'a {
-        self.instances.iter().filter(move |i| i.carrier == carrier)
     }
 
     /// The filtered view: instances matching a [`Predicate`] (carrier and
@@ -449,11 +431,6 @@ mod tests {
                 .count(),
             1
         );
-        // The deprecated accessor still answers identically while callers
-        // migrate onto the predicate view.
-        #[allow(deprecated)]
-        let legacy = d2.filter_carrier("A").count();
-        assert_eq!(legacy, 2);
         assert_eq!(d2.iter().count(), d2.len());
         assert_eq!((&d2).into_iter().count(), 3);
     }
@@ -471,9 +448,6 @@ mod tests {
                 .count(),
             1
         );
-        #[allow(deprecated)]
-        let legacy = d1.filter_carrier("A").count();
-        assert_eq!(legacy, 2);
         assert_eq!(d1.iter_handoffs().count(), 4);
         let mut other = D1::default();
         other.push(instance("T", City::C1));

@@ -8,15 +8,19 @@
 //! `mm-store`'s job.
 //!
 //! A file is one dictionary block followed by row-group blocks of
-//! [`BLOCK_ROWS`] rows each; [`D2StoreReader`]/[`D1StoreReader`] stream
-//! rows block by block, never holding more than one group in memory.
+//! [`BLOCK_ROWS`] rows each. Both datasets share that format, one writer
+//! and one streaming reader, [`GroupReader`], which never holds more than
+//! one group in memory. What differs per dataset (row type, columns, group
+//! stats, predicate matching) is a [`GroupCodec`]: [`D2Codec`] and
+//! [`D1Codec`], read through the [`D2StoreReader`]/[`D1StoreReader`]
+//! aliases.
 //!
 //! Format v2 row groups carry a small prefix before the columns: the
 //! declared column count (checked against the schema *before* any column
 //! is decoded, so a mismatched file fails fast with a typed error) and
 //! per-group vocabulary stats — the sorted dictionary ids of the carriers,
 //! cities, parameters (D2 also RAT tags) present in the group. A reader
-//! configured [`with_predicate`](D2StoreReader::with_predicate) consults
+//! configured [`with_predicate`](GroupReader::with_predicate) consults
 //! the stats to *skip whole groups* whose vocabulary cannot satisfy the
 //! predicate, without touching their column bytes — predicate pushdown.
 
@@ -66,30 +70,11 @@ fn rat_tag(rat: Rat) -> u64 {
     }
 }
 
-fn rat_from(tag: u64) -> Result<Rat, StoreError> {
-    Ok(match tag {
-        0 => Rat::Lte,
-        1 => Rat::Umts,
-        2 => Rat::Gsm,
-        3 => Rat::Evdo,
-        4 => Rat::Cdma1x,
-        t => return Err(StoreError::Schema(format!("unknown RAT tag {t}"))),
-    })
-}
-
 fn quantity_tag(q: Quantity) -> u64 {
     match q {
         Quantity::Rsrp => 0,
         Quantity::Rsrq => 1,
     }
-}
-
-fn quantity_from(tag: u64) -> Result<Quantity, StoreError> {
-    Ok(match tag {
-        0 => Quantity::Rsrp,
-        1 => Quantity::Rsrq,
-        t => return Err(StoreError::Schema(format!("unknown quantity tag {t}"))),
-    })
 }
 
 fn relation_tag(r: PriorityRelation) -> u64 {
@@ -101,14 +86,27 @@ fn relation_tag(r: PriorityRelation) -> u64 {
     }
 }
 
-fn relation_from(tag: u64) -> Result<PriorityRelation, StoreError> {
-    Ok(match tag {
-        0 => PriorityRelation::IntraFreq,
-        1 => PriorityRelation::NonIntraHigher,
-        2 => PriorityRelation::NonIntraEqual,
-        3 => PriorityRelation::NonIntraLower,
-        t => return Err(StoreError::Schema(format!("unknown relation tag {t}"))),
-    })
+const QUANTITIES: [Quantity; 2] = [Quantity::Rsrp, Quantity::Rsrq];
+const RELATIONS: [PriorityRelation; 4] = [
+    PriorityRelation::IntraFreq,
+    PriorityRelation::NonIntraHigher,
+    PriorityRelation::NonIntraEqual,
+    PriorityRelation::NonIntraLower,
+];
+
+/// Decode an enum wire tag: the one variant of `all` that `tag_of` maps to
+/// `tag`. Decoding by search keeps each exhaustive `*_tag` match the single
+/// source of the wire values.
+fn from_tag<T: Copy>(
+    all: &[T],
+    tag_of: fn(T) -> u64,
+    tag: u64,
+    what: &str,
+) -> Result<T, StoreError> {
+    all.iter()
+        .copied()
+        .find(|&v| tag_of(v) == tag)
+        .ok_or_else(|| StoreError::Schema(format!("unknown {what} tag {tag}")))
 }
 
 /// Split an [`EventKind`] into its tag and parameter list.
@@ -136,32 +134,21 @@ fn event_parts(e: &EventKind) -> (u64, [Option<f64>; 2]) {
 }
 
 fn event_from(tag: u64, params: &mut F64Decoder<'_>) -> Result<EventKind, StoreError> {
+    let mut p = || params.read();
     Ok(match tag {
-        0 => EventKind::A1 {
-            threshold: params.read()?,
-        },
-        1 => EventKind::A2 {
-            threshold: params.read()?,
-        },
-        2 => EventKind::A3 {
-            offset_db: params.read()?,
-        },
-        3 => EventKind::A4 {
-            threshold: params.read()?,
-        },
+        0 => EventKind::A1 { threshold: p()? },
+        1 => EventKind::A2 { threshold: p()? },
+        2 => EventKind::A3 { offset_db: p()? },
+        3 => EventKind::A4 { threshold: p()? },
         4 => EventKind::A5 {
-            threshold1: params.read()?,
-            threshold2: params.read()?,
+            threshold1: p()?,
+            threshold2: p()?,
         },
-        5 => EventKind::A6 {
-            offset_db: params.read()?,
-        },
-        6 => EventKind::B1 {
-            threshold: params.read()?,
-        },
+        5 => EventKind::A6 { offset_db: p()? },
+        6 => EventKind::B1 { threshold: p()? },
         7 => EventKind::B2 {
-            threshold1: params.read()?,
-            threshold2: params.read()?,
+            threshold1: p()?,
+            threshold2: p()?,
         },
         8 => EventKind::Periodic,
         t => return Err(StoreError::Schema(format!("unknown event tag {t}"))),
@@ -254,7 +241,7 @@ fn intern_param(name: &str) -> Option<&'static str> {
 /// doing them per row would dominate decode time. An entry that resolves
 /// to nothing only becomes an error when a row actually references it in
 /// that role.
-struct ResolvedDict {
+pub struct ResolvedDict {
     dict: Dict,
     carriers: Vec<Option<&'static str>>,
     params: Vec<Option<&'static str>>,
@@ -314,11 +301,11 @@ impl ResolvedDict {
 /// Serialize a v2 row group: row count, column count, the per-group
 /// vocabulary stat lists (each a sorted run of varint ids), then the
 /// `len`-prefixed column byte strings.
-fn encode_group(n_rows: u64, stats: &[Vec<u64>], cols: Vec<Vec<u8>>) -> Vec<u8> {
+fn encode_group(n_rows: u64, stats: &[BTreeSet<u64>], cols: Vec<Vec<u8>>) -> Vec<u8> {
     let mut stats_buf = Vec::new();
-    for list in stats {
-        write_varint(&mut stats_buf, list.len() as u64);
-        for &id in list {
+    for set in stats {
+        write_varint(&mut stats_buf, set.len() as u64);
+        for &id in set {
             write_varint(&mut stats_buf, id);
         }
     }
@@ -352,36 +339,36 @@ fn decode_group_prefix<'a>(
     payload: &'a [u8],
     expect_cols: usize,
     n_stats: usize,
-) -> Result<GroupPrefix<'a>, MmError> {
+) -> Result<GroupPrefix<'a>, StoreError> {
     let mut c = Cursor::new(payload);
-    let n_rows = c.read_varint().map_err(MmError::Store)?;
-    let n_cols = c.read_varint().map_err(MmError::Store)?;
+    let n_rows = c.read_varint()?;
+    let n_cols = c.read_varint()?;
     if n_cols != expect_cols as u64 {
         return Err(StoreError::Schema(format!(
             "row group declares {n_cols} columns, schema expects {expect_cols}"
-        ))
-        .into());
+        )));
     }
-    let stats_len = c.read_varint().map_err(MmError::Store)?;
-    let stats_raw = c.read_bytes(stats_len as usize).map_err(MmError::Store)?;
+    let stats_len = c.read_varint()?;
+    let stats_raw = c.read_bytes(stats_len as usize)?;
     let mut sc = Cursor::new(stats_raw);
     let mut stats = Vec::with_capacity(n_stats);
     for _ in 0..n_stats {
-        let n = sc.read_varint().map_err(MmError::Store)?;
+        let n = sc.read_varint()?;
         if n > stats_len {
             return Err(StoreError::Schema(format!(
                 "group stats list declares {n} ids in a {stats_len}-byte prefix"
-            ))
-            .into());
+            )));
         }
         let mut list = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            list.push(sc.read_varint().map_err(MmError::Store)?);
+            list.push(sc.read_varint()?);
         }
         stats.push(list);
     }
     if !sc.is_empty() {
-        return Err(StoreError::Schema("trailing bytes after group stats".to_string()).into());
+        return Err(StoreError::Schema(
+            "trailing bytes after group stats".to_string(),
+        ));
     }
     Ok(GroupPrefix {
         n_rows,
@@ -391,14 +378,16 @@ fn decode_group_prefix<'a>(
 }
 
 /// Read the column byte strings after a decoded prefix.
-fn read_columns<'a>(c: &mut Cursor<'a>, expect: usize) -> Result<Vec<&'a [u8]>, MmError> {
+fn read_columns<'a>(c: &mut Cursor<'a>, expect: usize) -> Result<Vec<&'a [u8]>, StoreError> {
     let mut cols = Vec::with_capacity(expect);
     for _ in 0..expect {
-        let len = c.read_varint().map_err(MmError::Store)?;
-        cols.push(c.read_bytes(len as usize).map_err(MmError::Store)?);
+        let len = c.read_varint()?;
+        cols.push(c.read_bytes(len as usize)?);
     }
     if !c.is_empty() {
-        return Err(StoreError::Schema("trailing bytes after columns".to_string()).into());
+        return Err(StoreError::Schema(
+            "trailing bytes after columns".to_string(),
+        ));
     }
     Ok(cols)
 }
@@ -444,13 +433,22 @@ impl IdSel {
     }
 }
 
-/// A predicate resolved into per-stat-dimension id selectors, aligned with
-/// the group stats lists.
-struct GroupFilter {
+/// A predicate resolved against one file's dictionary into per-stat
+/// dimension id selectors, aligned with the group stats lists. Built by
+/// [`GroupCodec::filter`].
+pub struct GroupFilter {
     sels: Vec<IdSel>,
 }
 
 impl GroupFilter {
+    /// `None` when no selector constrains anything: every group admits, so
+    /// there is nothing to push down.
+    fn new(sels: Vec<IdSel>) -> Option<GroupFilter> {
+        sels.iter()
+            .any(|s| !matches!(s, IdSel::Any))
+            .then_some(GroupFilter { sels })
+    }
+
     fn admits(&self, stats: &[Vec<u64>]) -> bool {
         self.sels
             .iter()
@@ -466,220 +464,129 @@ fn sel_str(want: Option<&str>, dict: &ResolvedDict) -> IdSel {
     }
 }
 
-/// Whether a predicate constrains any dimension the group stats cover
-/// (rounds are not in the stats — they are pruned at the campaign-manifest
-/// level, not per group).
-fn constrains_stats(pred: &Predicate) -> bool {
-    pred.carrier.is_some() || pred.city.is_some() || pred.param.is_some() || pred.rat.is_some()
+/// Push a vocabulary id to its column and record it in the group's stats.
+fn push_stat(col: &mut UIntEncoder, stat: &mut BTreeSet<u64>, id: u64) {
+    col.push(id);
+    stat.insert(id);
 }
 
-/// Reject pre-v2 files whose row groups lack the column count and stats
-/// prefix — decoding them under the v2 layout would misparse columns; a
-/// clear schema error up front beats a garbled one mid-file.
-fn check_group_version<R: Read>(inner: &StoreReader<R>) -> Result<(), MmError> {
-    if inner.version() < 2 {
-        return Err(StoreError::Schema(format!(
-            "store format v{} predates per-group column stats; re-crawl to refresh the store",
-            inner.version()
-        ))
-        .into());
-    }
-    Ok(())
+/// The carrier and city selectors both datasets' stats start with.
+fn carrier_city_sels(pred: &Predicate, dict: &ResolvedDict) -> Vec<IdSel> {
+    vec![
+        sel_str(pred.carrier.as_deref(), dict),
+        sel_str(pred.city.map(mmcarriers::city::City::as_str), dict),
+    ]
 }
 
 /// Publish one finished scan's group accounting to the `store` telemetry
 /// section (mirrors the blocks_read/bytes_read counters a layer down).
 fn publish_scan_stats(dataset: &str, stats: ScanStats) {
     let t = mm_telemetry::global();
-    t.counter_scoped(
-        "store",
-        &format!("{dataset}_groups_decoded"),
-        mm_telemetry::Scope::Sim,
-    )
-    .add(stats.groups_decoded);
-    t.counter_scoped(
-        "store",
-        &format!("{dataset}_groups_skipped"),
-        mm_telemetry::Scope::Sim,
-    )
-    .add(stats.groups_skipped);
-}
-
-// ---------------------------------------------------------------------------
-// D2
-// ---------------------------------------------------------------------------
-
-/// Number of columns in a D2 row group.
-const D2_COLS: usize = 11;
-/// D2 group stat dimensions: carriers, cities, parameters, RAT tags.
-const D2_STATS: usize = 4;
-
-/// Resolve a predicate into D2 group-stat selectors (aligned with the
-/// [`D2_STATS`] list order of `d2_group_payload`).
-fn d2_filter(pred: &Predicate, dict: &ResolvedDict) -> GroupFilter {
-    GroupFilter {
-        sels: vec![
-            sel_str(pred.carrier.as_deref(), dict),
-            sel_str(pred.city.map(mmcarriers::city::City::as_str), dict),
-            sel_str(pred.param.as_deref(), dict),
-            pred.rat.map_or(IdSel::Any, |r| IdSel::One(rat_tag(r))),
-        ],
+    for (what, n) in [
+        ("decoded", stats.groups_decoded),
+        ("skipped", stats.groups_skipped),
+    ] {
+        let name = format!("{dataset}_groups_{what}");
+        t.counter_scoped("store", &name, mm_telemetry::Scope::Sim)
+            .add(n);
     }
 }
 
-fn d2_group_payload(dict: &mut DictBuilder, rows: &[ConfigSample]) -> Vec<u8> {
-    let mut cell = UIntEncoder::new();
-    let mut carrier = UIntEncoder::new();
-    let mut city = UIntEncoder::new();
-    let mut rat = UIntEncoder::new();
-    let mut chan_rat = UIntEncoder::new();
-    let mut chan_num = UIntEncoder::new();
-    let mut pos_x = F64Encoder::new();
-    let mut pos_y = F64Encoder::new();
-    let mut round = UIntEncoder::new();
-    let mut param = UIntEncoder::new();
-    let mut value = F64Encoder::new();
-    let mut st_carrier = BTreeSet::new();
-    let mut st_city = BTreeSet::new();
-    let mut st_param = BTreeSet::new();
-    let mut st_rat = BTreeSet::new();
-    for s in rows {
-        cell.push(u64::from(s.cell.0));
-        let carrier_id = dict.intern(s.carrier);
-        carrier.push(carrier_id);
-        st_carrier.insert(carrier_id);
-        let city_id = dict.intern(s.city.as_str());
-        city.push(city_id);
-        st_city.insert(city_id);
-        let rat_v = rat_tag(s.rat);
-        rat.push(rat_v);
-        st_rat.insert(rat_v);
-        chan_rat.push(rat_tag(s.channel.rat));
-        chan_num.push(u64::from(s.channel.number));
-        pos_x.push(s.pos.x);
-        pos_y.push(s.pos.y);
-        round.push(u64::from(s.round));
-        let param_id = dict.intern(s.param);
-        param.push(param_id);
-        st_param.insert(param_id);
-        value.push(s.value);
+// ---------------------------------------------------------------------------
+// The per-dataset seam
+// ---------------------------------------------------------------------------
+
+/// What one stored dataset adds to the shared format: its row type, its
+/// columns and group stats, and how a predicate applies to it. Everything
+/// else — header checks, the dictionary, pushdown, trailer accounting —
+/// is [`GroupReader`]'s and the shared writer's, once for every dataset.
+pub trait GroupCodec {
+    /// The dataset row.
+    type Row;
+    /// Dataset kind stamped in (and required of) the store header.
+    const KIND: &'static str;
+    /// Columns per row group.
+    const COLS: usize;
+    /// Vocabulary stat lists per row group.
+    const STATS: usize;
+    /// Dataset name in the `store/<name>_groups_*` telemetry counters.
+    const DATASET: &'static str;
+
+    /// Resolve `pred` into group-stat selectors against a file's
+    /// dictionary; `None` when it constrains no stat dimension.
+    fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter>;
+
+    /// Encode one row group, interning its strings into `dict`: the
+    /// [`STATS`](Self::STATS) stat sets and the [`COLS`](Self::COLS)
+    /// column byte strings.
+    fn encode(dict: &mut DictBuilder, rows: &[&Self::Row]) -> (Vec<BTreeSet<u64>>, Vec<Vec<u8>>);
+
+    /// Decode `n_rows` rows from one group's columns.
+    fn decode(
+        dict: &ResolvedDict,
+        n_rows: u64,
+        cols: &[&[u8]],
+    ) -> Result<Vec<Self::Row>, StoreError>;
+
+    /// Whether a decoded row satisfies `pred`.
+    fn matches(pred: &Predicate, row: &Self::Row) -> bool;
+
+    /// Reject, before anything is written, a row the reader would refuse.
+    fn check(_row: &Self::Row) -> Result<(), MmError> {
+        Ok(())
     }
-    let stats: Vec<Vec<u64>> = [st_carrier, st_city, st_param, st_rat]
-        .into_iter()
-        .map(|set| set.into_iter().collect())
+
+    /// Shift a decoded row's campaign round by `rounds` (rows without a
+    /// round ignore it).
+    fn shift_round(_row: &mut Self::Row, _rounds: u32) {}
+}
+
+/// Encode `rows` into the dictionary block and the row-group blocks of
+/// `block_rows` rows each. Every string is interned while the groups are
+/// built, which is why the dictionary is finished last but written first.
+fn encode_blocks<C: GroupCodec>(rows: &[&C::Row], block_rows: usize) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let mut dict = DictBuilder::new();
+    let groups = rows
+        .chunks(block_rows.max(1))
+        .map(|chunk| {
+            let (stats, cols) = C::encode(&mut dict, chunk);
+            encode_group(chunk.len() as u64, &stats, cols)
+        })
         .collect();
-    encode_group(
-        rows.len() as u64,
-        &stats,
-        vec![
-            cell.finish(),
-            carrier.finish(),
-            city.finish(),
-            rat.finish(),
-            chan_rat.finish(),
-            chan_num.finish(),
-            pos_x.finish(),
-            pos_y.finish(),
-            round.finish(),
-            param.finish(),
-            value.finish(),
-        ],
-    )
+    (dict.encode(), groups)
 }
 
-fn d2_decode_group(
-    dict: &ResolvedDict,
-    prefix: GroupPrefix<'_>,
-) -> Result<Vec<ConfigSample>, MmError> {
-    let GroupPrefix {
-        n_rows, mut cols, ..
-    } = prefix;
-    let cols = read_columns(&mut cols, D2_COLS)?;
-    let mut cell = UIntDecoder::new(cols[0]);
-    let mut carrier = UIntDecoder::new(cols[1]);
-    let mut city = UIntDecoder::new(cols[2]);
-    let mut rat = UIntDecoder::new(cols[3]);
-    let mut chan_rat = UIntDecoder::new(cols[4]);
-    let mut chan_num = UIntDecoder::new(cols[5]);
-    let mut pos_x = F64Decoder::new(cols[6]);
-    let mut pos_y = F64Decoder::new(cols[7]);
-    let mut round = UIntDecoder::new(cols[8]);
-    let mut param = UIntDecoder::new(cols[9]);
-    let mut value = F64Decoder::new(cols[10]);
-    let mut out = Vec::with_capacity(n_rows as usize);
-    for _ in 0..n_rows {
-        let rat_v = rat_from(rat.read()?)?;
-        let carrier_v = dict.carrier(carrier.read()?)?;
-        let city_v = dict.city(city.read()?)?;
-        let param_v = dict.param(param.read()?)?;
-        let s = ConfigSample {
-            cell: CellId(cell.read_u32()?),
-            carrier: carrier_v,
-            city: city_v,
-            rat: rat_v,
-            channel: ChannelNumber {
-                rat: rat_from(chan_rat.read()?)?,
-                number: chan_num.read_u32()?,
-            },
-            pos: Point::new(pos_x.read()?, pos_y.read()?),
-            round: round.read_u32()?,
-            param: param_v,
-            value: value.read()?,
-        };
-        // A decoded value outside the ingest contract is a malformed file,
-        // not a usage error: surface it as a schema failure.
-        s.check().map_err(|e| StoreError::Schema(e.to_string()))?;
-        out.push(s);
+/// Write `rows` as one store file: header, dictionary, row groups, and a
+/// trailer declaring the row count.
+fn write_rows<'a, C: GroupCodec + 'a, W: Write>(
+    w: W,
+    rows: impl Iterator<Item = &'a C::Row>,
+    block_rows: usize,
+) -> Result<(), MmError> {
+    let rows: Vec<&C::Row> = rows.collect();
+    // Enforce the ingest contract at the write boundary too, so a file can
+    // never be produced that the reader would reject.
+    for row in &rows {
+        C::check(row)?;
     }
-    Ok(out)
+    let (dict, groups) = encode_blocks::<C>(&rows, block_rows);
+    let mut writer = StoreWriter::new(w, C::KIND)?;
+    writer.write_block(TAG_DICT, &dict)?;
+    for g in &groups {
+        writer.write_block(TAG_ROWS, g)?;
+    }
+    writer.finish(rows.len() as u64)
 }
 
-impl D2 {
-    /// Write the dataset in the binary columnar store format with the
-    /// default row-group size.
-    pub fn write_store<W: Write>(&self, w: W) -> Result<(), MmError> {
-        self.write_store_with(w, BLOCK_ROWS)
-    }
-
-    /// Write with an explicit row-group size (tests use small groups to
-    /// exercise multi-block streaming).
-    pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
-        let block_rows = block_rows.max(1);
-        // Enforce the ingest contract at the write boundary too, so a file
-        // can never be produced that the reader would reject.
-        for s in self.iter() {
-            s.check()?;
-        }
-        let samples: Vec<&ConfigSample> = self.iter().collect();
-        // The dictionary block must precede the row groups it describes, so
-        // intern every string first.
-        let mut dict = DictBuilder::new();
-        let mut groups = Vec::new();
-        for chunk in samples.chunks(block_rows) {
-            let rows: Vec<ConfigSample> = chunk.iter().map(|&s| s.clone()).collect();
-            groups.push(d2_group_payload(&mut dict, &rows));
-        }
-        let mut writer = StoreWriter::new(w, KIND_D2)?;
-        writer.write_block(TAG_DICT, &dict.encode())?;
-        for g in &groups {
-            writer.write_block(TAG_ROWS, g)?;
-        }
-        writer.finish(samples.len() as u64)
-    }
-
-    /// Read a dataset written by [`write_store`](D2::write_store),
-    /// streaming block by block.
-    pub fn read_store<R: Read>(r: R) -> Result<D2, MmError> {
-        let mut samples = Vec::new();
-        for row in D2StoreReader::new(r)? {
-            samples.push(row?);
-        }
-        Ok(D2::from_samples(samples))
-    }
+/// Read every row of a file written by [`write_rows`].
+fn read_rows<C: GroupCodec, R: Read>(r: R) -> Result<Vec<C::Row>, MmError> {
+    GroupReader::<R, C>::new(r)?.collect()
 }
 
-/// Streaming D2 reader: yields one [`ConfigSample`] at a time, decoding one
-/// row group per block — the whole dataset is never materialized here.
+/// Streaming reader over one stored dataset: yields one row at a time,
+/// decoding one row group per block — the whole dataset is never
+/// materialized here. [`D2StoreReader`] and [`D1StoreReader`] name its
+/// two instances.
 ///
 /// Configure before iterating:
 /// [`with_predicate`](Self::with_predicate) skips whole row groups via
@@ -687,10 +594,10 @@ impl D2 {
 /// [`scan_with_predicate`](Self::scan_with_predicate) row-filters only
 /// (the full-scan baseline); [`with_round_offset`](Self::with_round_offset)
 /// shifts decoded rounds for appended campaign rounds.
-pub struct D2StoreReader<R: Read> {
+pub struct GroupReader<R: Read, C: GroupCodec> {
     inner: StoreReader<R>,
     dict: Option<ResolvedDict>,
-    buf: std::vec::IntoIter<ConfigSample>,
+    buf: std::vec::IntoIter<C::Row>,
     decoded: u64,
     done: bool,
     pred: Predicate,
@@ -700,19 +607,36 @@ pub struct D2StoreReader<R: Read> {
     stats: ScanStats,
 }
 
-impl<R: Read> D2StoreReader<R> {
+/// Streaming D2 reader: [`ConfigSample`] rows.
+pub type D2StoreReader<R> = GroupReader<R, D2Codec>;
+
+/// Streaming D1 reader: [`HandoffInstance`] rows. Pushdown covers carrier
+/// and city only; D1 rows have no parameter or RAT columns.
+pub type D1StoreReader<R> = GroupReader<R, D1Codec>;
+
+impl<R: Read, C: GroupCodec> GroupReader<R, C> {
     /// Open a store stream and validate its header.
     pub fn new(r: R) -> Result<Self, MmError> {
         let inner = StoreReader::new(r)?;
-        if inner.kind() != KIND_D2 {
+        if inner.kind() != C::KIND {
             return Err(StoreError::Schema(format!(
-                "expected kind {KIND_D2:?}, found {:?}",
+                "expected kind {:?}, found {:?}",
+                C::KIND,
                 inner.kind()
             ))
             .into());
         }
-        check_group_version(&inner)?;
-        Ok(D2StoreReader {
+        // Pre-v2 row groups lack the column count and stats prefix;
+        // decoding them under the v2 layout would misparse columns, so a
+        // clear schema error up front beats a garbled one mid-file.
+        if inner.version() < 2 {
+            return Err(StoreError::Schema(format!(
+                "store format v{} predates per-group column stats; re-crawl to refresh the store",
+                inner.version()
+            ))
+            .into());
+        }
+        Ok(GroupReader {
             inner,
             dict: None,
             buf: Vec::new().into_iter(),
@@ -766,29 +690,22 @@ impl<R: Read> D2StoreReader<R> {
             // column bytes and CRC are never touched. A prefix that fails
             // to parse is admitted so the verified path below reports the
             // real (typed) error.
-            let Self {
-                inner,
-                filter,
-                stats,
-                ..
-            } = self;
-            let next = if let Some(f) = filter.as_ref() {
-                inner.next_block_if(&mut |tag, payload| {
+            let next = match &self.filter {
+                Some(f) => self.inner.next_block_if(&mut |tag, payload| {
                     if tag != TAG_ROWS {
                         return true;
                     }
-                    let Ok(prefix) = decode_group_prefix(payload, D2_COLS, D2_STATS) else {
+                    let Ok(prefix) = decode_group_prefix(payload, C::COLS, C::STATS) else {
                         return true;
                     };
                     if f.admits(&prefix.stats) {
                         return true;
                     }
-                    stats.groups_skipped += 1;
-                    stats.rows_skipped += prefix.n_rows;
+                    self.stats.groups_skipped += 1;
+                    self.stats.rows_skipped += prefix.n_rows;
                     false
-                })?
-            } else {
-                inner.next_block()?
+                })?,
+                None => self.inner.next_block()?,
             };
             let Some(block) = next else {
                 let declared = self.inner.records().unwrap_or(0);
@@ -799,15 +716,14 @@ impl<R: Read> D2StoreReader<R> {
                     ))
                     .into());
                 }
-                publish_scan_stats("d2", self.stats);
+                publish_scan_stats(C::DATASET, self.stats);
                 return Ok(false);
             };
             match block.tag {
                 TAG_DICT => {
-                    let dict =
-                        ResolvedDict::new(Dict::decode(&block.payload).map_err(MmError::Store)?);
-                    if self.pushdown && constrains_stats(&self.pred) {
-                        self.filter = Some(d2_filter(&self.pred, &dict));
+                    let dict = ResolvedDict::new(Dict::decode(&block.payload)?);
+                    if self.pushdown {
+                        self.filter = C::filter(&self.pred, &dict);
                     }
                     self.dict = Some(dict);
                 }
@@ -815,25 +731,19 @@ impl<R: Read> D2StoreReader<R> {
                     let dict = self.dict.as_ref().ok_or_else(|| {
                         StoreError::Schema("row group before dictionary".to_string())
                     })?;
-                    let prefix = decode_group_prefix(&block.payload, D2_COLS, D2_STATS)?;
-                    if let Some(f) = &self.filter {
-                        if !f.admits(&prefix.stats) {
-                            self.stats.groups_skipped += 1;
-                            self.stats.rows_skipped += prefix.n_rows;
-                            continue;
-                        }
-                    }
-                    let mut rows = d2_decode_group(dict, prefix)?;
+                    let mut prefix = decode_group_prefix(&block.payload, C::COLS, C::STATS)?;
+                    let cols = read_columns(&mut prefix.cols, C::COLS)?;
+                    let mut rows = C::decode(dict, prefix.n_rows, &cols)?;
                     self.stats.groups_decoded += 1;
                     self.decoded += rows.len() as u64;
                     if self.round_offset != 0 {
-                        for s in &mut rows {
-                            s.round += self.round_offset;
+                        for row in &mut rows {
+                            C::shift_round(row, self.round_offset);
                         }
                     }
                     if !self.pred.is_any() {
                         let pred = &self.pred;
-                        rows.retain(|s| pred.matches(s));
+                        rows.retain(|row| C::matches(pred, row));
                     }
                     self.buf = rows.into_iter();
                     return Ok(true);
@@ -846,29 +756,172 @@ impl<R: Read> D2StoreReader<R> {
     }
 }
 
-impl<R: Read> Iterator for D2StoreReader<R> {
-    type Item = Result<ConfigSample, MmError>;
+impl<R: Read, C: GroupCodec> Iterator for GroupReader<R, C> {
+    type Item = Result<C::Row, MmError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
+        while !self.done {
             if let Some(row) = self.buf.next() {
                 return Some(Ok(row));
             }
             match self.refill() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
+                Ok(more) => self.done = !more,
                 Err(e) => {
                     self.done = true;
                     return Some(Err(e));
                 }
             }
         }
+        None
+    }
+}
+
+// ---------------------------------------------------------------------------
+// D2
+// ---------------------------------------------------------------------------
+
+/// The D2 schema: one [`ConfigSample`] per row; group stats over carriers,
+/// cities, parameters and RAT tags.
+pub struct D2Codec;
+
+impl GroupCodec for D2Codec {
+    type Row = ConfigSample;
+    const KIND: &'static str = KIND_D2;
+    const COLS: usize = 11;
+    const STATS: usize = 4;
+    const DATASET: &'static str = "d2";
+
+    fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter> {
+        let mut sels = carrier_city_sels(pred, dict);
+        sels.push(sel_str(pred.param.as_deref(), dict));
+        sels.push(pred.rat.map_or(IdSel::Any, |r| IdSel::One(rat_tag(r))));
+        GroupFilter::new(sels)
+    }
+
+    fn encode(
+        dict: &mut DictBuilder,
+        rows: &[&ConfigSample],
+    ) -> (Vec<BTreeSet<u64>>, Vec<Vec<u8>>) {
+        let mut cell = UIntEncoder::new();
+        let mut carrier = UIntEncoder::new();
+        let mut city = UIntEncoder::new();
+        let mut rat = UIntEncoder::new();
+        let mut chan_rat = UIntEncoder::new();
+        let mut chan_num = UIntEncoder::new();
+        let mut pos_x = F64Encoder::new();
+        let mut pos_y = F64Encoder::new();
+        let mut round = UIntEncoder::new();
+        let mut param = UIntEncoder::new();
+        let mut value = F64Encoder::new();
+        let mut st_carrier = BTreeSet::new();
+        let mut st_city = BTreeSet::new();
+        let mut st_param = BTreeSet::new();
+        let mut st_rat = BTreeSet::new();
+        for s in rows {
+            cell.push(u64::from(s.cell.0));
+            push_stat(&mut carrier, &mut st_carrier, dict.intern(s.carrier));
+            push_stat(&mut city, &mut st_city, dict.intern(s.city.as_str()));
+            push_stat(&mut rat, &mut st_rat, rat_tag(s.rat));
+            chan_rat.push(rat_tag(s.channel.rat));
+            chan_num.push(u64::from(s.channel.number));
+            pos_x.push(s.pos.x);
+            pos_y.push(s.pos.y);
+            round.push(u64::from(s.round));
+            push_stat(&mut param, &mut st_param, dict.intern(s.param));
+            value.push(s.value);
+        }
+        (
+            vec![st_carrier, st_city, st_param, st_rat],
+            vec![
+                cell.finish(),
+                carrier.finish(),
+                city.finish(),
+                rat.finish(),
+                chan_rat.finish(),
+                chan_num.finish(),
+                pos_x.finish(),
+                pos_y.finish(),
+                round.finish(),
+                param.finish(),
+                value.finish(),
+            ],
+        )
+    }
+
+    fn decode(
+        dict: &ResolvedDict,
+        n_rows: u64,
+        cols: &[&[u8]],
+    ) -> Result<Vec<ConfigSample>, StoreError> {
+        let mut cell = UIntDecoder::new(cols[0]);
+        let mut carrier = UIntDecoder::new(cols[1]);
+        let mut city = UIntDecoder::new(cols[2]);
+        let mut rat = UIntDecoder::new(cols[3]);
+        let mut chan_rat = UIntDecoder::new(cols[4]);
+        let mut chan_num = UIntDecoder::new(cols[5]);
+        let mut pos_x = F64Decoder::new(cols[6]);
+        let mut pos_y = F64Decoder::new(cols[7]);
+        let mut round = UIntDecoder::new(cols[8]);
+        let mut param = UIntDecoder::new(cols[9]);
+        let mut value = F64Decoder::new(cols[10]);
+        let mut out = Vec::with_capacity(n_rows as usize);
+        for _ in 0..n_rows {
+            let rat_v = from_tag(&Rat::ALL, rat_tag, rat.read()?, "RAT")?;
+            let carrier_v = dict.carrier(carrier.read()?)?;
+            let city_v = dict.city(city.read()?)?;
+            let param_v = dict.param(param.read()?)?;
+            let s = ConfigSample {
+                cell: CellId(cell.read_u32()?),
+                carrier: carrier_v,
+                city: city_v,
+                rat: rat_v,
+                channel: ChannelNumber {
+                    rat: from_tag(&Rat::ALL, rat_tag, chan_rat.read()?, "RAT")?,
+                    number: chan_num.read_u32()?,
+                },
+                pos: Point::new(pos_x.read()?, pos_y.read()?),
+                round: round.read_u32()?,
+                param: param_v,
+                value: value.read()?,
+            };
+            // A decoded value outside the ingest contract is a malformed
+            // file, not a usage error: surface it as a schema failure.
+            s.check().map_err(|e| StoreError::Schema(e.to_string()))?;
+            out.push(s);
+        }
+        Ok(out)
+    }
+
+    fn matches(pred: &Predicate, row: &ConfigSample) -> bool {
+        pred.matches(row)
+    }
+
+    fn check(row: &ConfigSample) -> Result<(), MmError> {
+        row.check()
+    }
+
+    fn shift_round(row: &mut ConfigSample, rounds: u32) {
+        row.round += rounds;
+    }
+}
+
+impl D2 {
+    /// Write the dataset in the binary columnar store format with the
+    /// default row-group size.
+    pub fn write_store<W: Write>(&self, w: W) -> Result<(), MmError> {
+        self.write_store_with(w, BLOCK_ROWS)
+    }
+
+    /// Write with an explicit row-group size (tests use small groups to
+    /// exercise multi-block streaming).
+    pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
+        write_rows::<D2Codec, W>(w, self.iter(), block_rows)
+    }
+
+    /// Read a dataset written by [`write_store`](D2::write_store),
+    /// streaming block by block.
+    pub fn read_store<R: Read>(r: R) -> Result<D2, MmError> {
+        read_rows::<D2Codec, R>(r).map(D2::from_samples)
     }
 }
 
@@ -876,239 +929,239 @@ impl<R: Read> Iterator for D2StoreReader<R> {
 // D1
 // ---------------------------------------------------------------------------
 
-/// Number of columns in a D1 row group.
-const D1_COLS: usize = 26;
-/// D1 group stat dimensions: carriers, cities (handoff instances carry no
-/// parameter or RAT field).
-const D1_STATS: usize = 2;
+/// The D1 schema: one [`HandoffInstance`] per row; group stats over
+/// carriers and cities (handoff instances carry no parameter or RAT field).
+pub struct D1Codec;
 
-/// Resolve a predicate into D1 group-stat selectors. Parameter/RAT
-/// constraints have no D1 column to match against, so (as in
-/// [`Predicate::matches_d1`]) they do not constrain the scan.
-fn d1_filter(pred: &Predicate, dict: &ResolvedDict) -> GroupFilter {
-    GroupFilter {
-        sels: vec![
-            sel_str(pred.carrier.as_deref(), dict),
-            sel_str(pred.city.map(mmcarriers::city::City::as_str), dict),
-        ],
+impl GroupCodec for D1Codec {
+    type Row = HandoffInstance;
+    const KIND: &'static str = KIND_D1;
+    const COLS: usize = 26;
+    const STATS: usize = 2;
+    const DATASET: &'static str = "d1";
+
+    /// Parameter/RAT constraints have no D1 column to match against, so
+    /// (as in [`Predicate::matches_d1`]) they do not constrain the scan.
+    fn filter(pred: &Predicate, dict: &ResolvedDict) -> Option<GroupFilter> {
+        GroupFilter::new(carrier_city_sels(pred, dict))
     }
-}
 
-fn d1_group_payload(dict: &mut DictBuilder, rows: &[HandoffInstance]) -> Vec<u8> {
-    let mut carrier = UIntEncoder::new();
-    let mut city = UIntEncoder::new();
-    let mut t_ms = UIntEncoder::new();
-    let mut from = UIntEncoder::new();
-    let mut to = UIntEncoder::new();
-    let mut kind = UIntEncoder::new();
-    let mut idle_rel = UIntEncoder::new();
-    let mut evt_tag = UIntEncoder::new();
-    let mut evt_params = F64Encoder::new();
-    let mut quantity = UIntEncoder::new();
-    let mut has_rc = UIntEncoder::new();
-    let mut rc_evt_tag = UIntEncoder::new();
-    let mut rc_evt_params = F64Encoder::new();
-    let mut rc_quantity = UIntEncoder::new();
-    let mut rc_hyst = F64Encoder::new();
-    let mut rc_ttt = UIntEncoder::new();
-    let mut rc_interval = UIntEncoder::new();
-    let mut rc_amount = UIntEncoder::new();
-    let mut report_t = UIntEncoder::new();
-    let mut cmd_delay = UIntEncoder::new();
-    let mut rsrp_old = F64Encoder::new();
-    let mut rsrp_new = F64Encoder::new();
-    let mut rsrq_old = F64Encoder::new();
-    let mut rsrq_new = F64Encoder::new();
-    let mut has_thpt = UIntEncoder::new();
-    let mut thpt = F64Encoder::new();
-    let mut st_carrier = BTreeSet::new();
-    let mut st_city = BTreeSet::new();
-    for i in rows {
-        let r = &i.record;
-        let carrier_id = dict.intern(i.carrier);
-        carrier.push(carrier_id);
-        st_carrier.insert(carrier_id);
-        let city_id = dict.intern(i.city.as_str());
-        city.push(city_id);
-        st_city.insert(city_id);
-        t_ms.push(r.t_ms);
-        from.push(u64::from(r.from.0));
-        to.push(u64::from(r.to.0));
-        match &r.kind {
-            HandoffKind::Idle { relation } => {
-                kind.push(0);
-                idle_rel.push(relation_tag(*relation));
-            }
-            HandoffKind::Active {
-                decisive,
-                quantity: q,
-                report_config,
-                report_t_ms,
-                command_delay_ms,
-            } => {
-                kind.push(1);
-                push_event(decisive, &mut evt_tag, &mut evt_params);
-                quantity.push(quantity_tag(*q));
-                match report_config {
-                    None => has_rc.push(0),
-                    Some(rc) => {
-                        has_rc.push(1);
-                        push_event(&rc.event, &mut rc_evt_tag, &mut rc_evt_params);
-                        rc_quantity.push(quantity_tag(rc.quantity));
-                        rc_hyst.push(rc.hysteresis_db);
-                        rc_ttt.push(u64::from(rc.time_to_trigger_ms));
-                        rc_interval.push(u64::from(rc.report_interval_ms));
-                        rc_amount.push(u64::from(rc.report_amount));
-                    }
+    fn encode(
+        dict: &mut DictBuilder,
+        rows: &[&HandoffInstance],
+    ) -> (Vec<BTreeSet<u64>>, Vec<Vec<u8>>) {
+        let mut carrier = UIntEncoder::new();
+        let mut city = UIntEncoder::new();
+        let mut t_ms = UIntEncoder::new();
+        let mut from = UIntEncoder::new();
+        let mut to = UIntEncoder::new();
+        let mut kind = UIntEncoder::new();
+        let mut idle_rel = UIntEncoder::new();
+        let mut evt_tag = UIntEncoder::new();
+        let mut evt_params = F64Encoder::new();
+        let mut quantity = UIntEncoder::new();
+        let mut has_rc = UIntEncoder::new();
+        let mut rc_evt_tag = UIntEncoder::new();
+        let mut rc_evt_params = F64Encoder::new();
+        let mut rc_quantity = UIntEncoder::new();
+        let mut rc_hyst = F64Encoder::new();
+        let mut rc_ttt = UIntEncoder::new();
+        let mut rc_interval = UIntEncoder::new();
+        let mut rc_amount = UIntEncoder::new();
+        let mut report_t = UIntEncoder::new();
+        let mut cmd_delay = UIntEncoder::new();
+        let mut rsrp_old = F64Encoder::new();
+        let mut rsrp_new = F64Encoder::new();
+        let mut rsrq_old = F64Encoder::new();
+        let mut rsrq_new = F64Encoder::new();
+        let mut has_thpt = UIntEncoder::new();
+        let mut thpt = F64Encoder::new();
+        let mut st_carrier = BTreeSet::new();
+        let mut st_city = BTreeSet::new();
+        for i in rows {
+            let r = &i.record;
+            push_stat(&mut carrier, &mut st_carrier, dict.intern(i.carrier));
+            push_stat(&mut city, &mut st_city, dict.intern(i.city.as_str()));
+            t_ms.push(r.t_ms);
+            from.push(u64::from(r.from.0));
+            to.push(u64::from(r.to.0));
+            match &r.kind {
+                HandoffKind::Idle { relation } => {
+                    kind.push(0);
+                    idle_rel.push(relation_tag(*relation));
                 }
-                report_t.push(*report_t_ms);
-                cmd_delay.push(*command_delay_ms);
-            }
-        }
-        rsrp_old.push(r.rsrp_old_dbm);
-        rsrp_new.push(r.rsrp_new_dbm);
-        rsrq_old.push(r.rsrq_old_db);
-        rsrq_new.push(r.rsrq_new_db);
-        match r.min_thpt_before_bps {
-            None => has_thpt.push(0),
-            Some(v) => {
-                has_thpt.push(1);
-                thpt.push(v);
-            }
-        }
-    }
-    let stats: Vec<Vec<u64>> = [st_carrier, st_city]
-        .into_iter()
-        .map(|set| set.into_iter().collect())
-        .collect();
-    encode_group(
-        rows.len() as u64,
-        &stats,
-        vec![
-            carrier.finish(),
-            city.finish(),
-            t_ms.finish(),
-            from.finish(),
-            to.finish(),
-            kind.finish(),
-            idle_rel.finish(),
-            evt_tag.finish(),
-            evt_params.finish(),
-            quantity.finish(),
-            has_rc.finish(),
-            rc_evt_tag.finish(),
-            rc_evt_params.finish(),
-            rc_quantity.finish(),
-            rc_hyst.finish(),
-            rc_ttt.finish(),
-            rc_interval.finish(),
-            rc_amount.finish(),
-            report_t.finish(),
-            cmd_delay.finish(),
-            rsrp_old.finish(),
-            rsrp_new.finish(),
-            rsrq_old.finish(),
-            rsrq_new.finish(),
-            has_thpt.finish(),
-            thpt.finish(),
-        ],
-    )
-}
-
-fn d1_decode_group(
-    dict: &ResolvedDict,
-    prefix: GroupPrefix<'_>,
-) -> Result<Vec<HandoffInstance>, MmError> {
-    let GroupPrefix {
-        n_rows, mut cols, ..
-    } = prefix;
-    let cols = read_columns(&mut cols, D1_COLS)?;
-    let mut carrier = UIntDecoder::new(cols[0]);
-    let mut city = UIntDecoder::new(cols[1]);
-    let mut t_ms = UIntDecoder::new(cols[2]);
-    let mut from = UIntDecoder::new(cols[3]);
-    let mut to = UIntDecoder::new(cols[4]);
-    let mut kind = UIntDecoder::new(cols[5]);
-    let mut idle_rel = UIntDecoder::new(cols[6]);
-    let mut evt_tag = UIntDecoder::new(cols[7]);
-    let mut evt_params = F64Decoder::new(cols[8]);
-    let mut quantity = UIntDecoder::new(cols[9]);
-    let mut has_rc = UIntDecoder::new(cols[10]);
-    let mut rc_evt_tag = UIntDecoder::new(cols[11]);
-    let mut rc_evt_params = F64Decoder::new(cols[12]);
-    let mut rc_quantity = UIntDecoder::new(cols[13]);
-    let mut rc_hyst = F64Decoder::new(cols[14]);
-    let mut rc_ttt = UIntDecoder::new(cols[15]);
-    let mut rc_interval = UIntDecoder::new(cols[16]);
-    let mut rc_amount = UIntDecoder::new(cols[17]);
-    let mut report_t = UIntDecoder::new(cols[18]);
-    let mut cmd_delay = UIntDecoder::new(cols[19]);
-    let mut rsrp_old = F64Decoder::new(cols[20]);
-    let mut rsrp_new = F64Decoder::new(cols[21]);
-    let mut rsrq_old = F64Decoder::new(cols[22]);
-    let mut rsrq_new = F64Decoder::new(cols[23]);
-    let mut has_thpt = UIntDecoder::new(cols[24]);
-    let mut thpt = F64Decoder::new(cols[25]);
-    let mut out = Vec::with_capacity(n_rows as usize);
-    for _ in 0..n_rows {
-        let carrier_v = dict.carrier(carrier.read()?)?;
-        let city_v = dict.city(city.read()?)?;
-        let t = t_ms.read()?;
-        let from_v = CellId(from.read_u32()?);
-        let to_v = CellId(to.read_u32()?);
-        let kind_v = match kind.read()? {
-            0 => HandoffKind::Idle {
-                relation: relation_from(idle_rel.read()?)?,
-            },
-            1 => {
-                let decisive = event_from(evt_tag.read()?, &mut evt_params)?;
-                let q = quantity_from(quantity.read()?)?;
-                let report_config = match has_rc.read()? {
-                    0 => None,
-                    1 => Some(ReportConfig {
-                        event: event_from(rc_evt_tag.read()?, &mut rc_evt_params)?,
-                        quantity: quantity_from(rc_quantity.read()?)?,
-                        hysteresis_db: rc_hyst.read()?,
-                        time_to_trigger_ms: rc_ttt.read_u32()?,
-                        report_interval_ms: rc_interval.read_u32()?,
-                        report_amount: rc_amount.read_u8()?,
-                    }),
-                    t => {
-                        return Err(StoreError::Schema(format!("bad option flag {t}")).into());
-                    }
-                };
                 HandoffKind::Active {
                     decisive,
                     quantity: q,
                     report_config,
-                    report_t_ms: report_t.read()?,
-                    command_delay_ms: cmd_delay.read()?,
+                    report_t_ms,
+                    command_delay_ms,
+                } => {
+                    kind.push(1);
+                    push_event(decisive, &mut evt_tag, &mut evt_params);
+                    quantity.push(quantity_tag(*q));
+                    match report_config {
+                        None => has_rc.push(0),
+                        Some(rc) => {
+                            has_rc.push(1);
+                            push_event(&rc.event, &mut rc_evt_tag, &mut rc_evt_params);
+                            rc_quantity.push(quantity_tag(rc.quantity));
+                            rc_hyst.push(rc.hysteresis_db);
+                            rc_ttt.push(u64::from(rc.time_to_trigger_ms));
+                            rc_interval.push(u64::from(rc.report_interval_ms));
+                            rc_amount.push(u64::from(rc.report_amount));
+                        }
+                    }
+                    report_t.push(*report_t_ms);
+                    cmd_delay.push(*command_delay_ms);
                 }
             }
-            t => return Err(StoreError::Schema(format!("unknown handoff kind tag {t}")).into()),
-        };
-        let record = HandoffRecord {
-            t_ms: t,
-            from: from_v,
-            to: to_v,
-            kind: kind_v,
-            rsrp_old_dbm: rsrp_old.read()?,
-            rsrp_new_dbm: rsrp_new.read()?,
-            rsrq_old_db: rsrq_old.read()?,
-            rsrq_new_db: rsrq_new.read()?,
-            min_thpt_before_bps: match has_thpt.read()? {
-                0 => None,
-                1 => Some(thpt.read()?),
-                t => return Err(StoreError::Schema(format!("bad option flag {t}")).into()),
-            },
-        };
-        out.push(HandoffInstance {
-            carrier: carrier_v,
-            city: city_v,
-            record,
-        });
+            rsrp_old.push(r.rsrp_old_dbm);
+            rsrp_new.push(r.rsrp_new_dbm);
+            rsrq_old.push(r.rsrq_old_db);
+            rsrq_new.push(r.rsrq_new_db);
+            match r.min_thpt_before_bps {
+                None => has_thpt.push(0),
+                Some(v) => {
+                    has_thpt.push(1);
+                    thpt.push(v);
+                }
+            }
+        }
+        (
+            vec![st_carrier, st_city],
+            vec![
+                carrier.finish(),
+                city.finish(),
+                t_ms.finish(),
+                from.finish(),
+                to.finish(),
+                kind.finish(),
+                idle_rel.finish(),
+                evt_tag.finish(),
+                evt_params.finish(),
+                quantity.finish(),
+                has_rc.finish(),
+                rc_evt_tag.finish(),
+                rc_evt_params.finish(),
+                rc_quantity.finish(),
+                rc_hyst.finish(),
+                rc_ttt.finish(),
+                rc_interval.finish(),
+                rc_amount.finish(),
+                report_t.finish(),
+                cmd_delay.finish(),
+                rsrp_old.finish(),
+                rsrp_new.finish(),
+                rsrq_old.finish(),
+                rsrq_new.finish(),
+                has_thpt.finish(),
+                thpt.finish(),
+            ],
+        )
     }
-    Ok(out)
+
+    fn decode(
+        dict: &ResolvedDict,
+        n_rows: u64,
+        cols: &[&[u8]],
+    ) -> Result<Vec<HandoffInstance>, StoreError> {
+        let mut carrier = UIntDecoder::new(cols[0]);
+        let mut city = UIntDecoder::new(cols[1]);
+        let mut t_ms = UIntDecoder::new(cols[2]);
+        let mut from = UIntDecoder::new(cols[3]);
+        let mut to = UIntDecoder::new(cols[4]);
+        let mut kind = UIntDecoder::new(cols[5]);
+        let mut idle_rel = UIntDecoder::new(cols[6]);
+        let mut evt_tag = UIntDecoder::new(cols[7]);
+        let mut evt_params = F64Decoder::new(cols[8]);
+        let mut quantity = UIntDecoder::new(cols[9]);
+        let mut has_rc = UIntDecoder::new(cols[10]);
+        let mut rc_evt_tag = UIntDecoder::new(cols[11]);
+        let mut rc_evt_params = F64Decoder::new(cols[12]);
+        let mut rc_quantity = UIntDecoder::new(cols[13]);
+        let mut rc_hyst = F64Decoder::new(cols[14]);
+        let mut rc_ttt = UIntDecoder::new(cols[15]);
+        let mut rc_interval = UIntDecoder::new(cols[16]);
+        let mut rc_amount = UIntDecoder::new(cols[17]);
+        let mut report_t = UIntDecoder::new(cols[18]);
+        let mut cmd_delay = UIntDecoder::new(cols[19]);
+        let mut rsrp_old = F64Decoder::new(cols[20]);
+        let mut rsrp_new = F64Decoder::new(cols[21]);
+        let mut rsrq_old = F64Decoder::new(cols[22]);
+        let mut rsrq_new = F64Decoder::new(cols[23]);
+        let mut has_thpt = UIntDecoder::new(cols[24]);
+        let mut thpt = F64Decoder::new(cols[25]);
+        let mut out = Vec::with_capacity(n_rows as usize);
+        for _ in 0..n_rows {
+            let carrier_v = dict.carrier(carrier.read()?)?;
+            let city_v = dict.city(city.read()?)?;
+            let t = t_ms.read()?;
+            let from_v = CellId(from.read_u32()?);
+            let to_v = CellId(to.read_u32()?);
+            let kind_v = match kind.read()? {
+                0 => HandoffKind::Idle {
+                    relation: from_tag(&RELATIONS, relation_tag, idle_rel.read()?, "relation")?,
+                },
+                1 => {
+                    let decisive = event_from(evt_tag.read()?, &mut evt_params)?;
+                    let q = from_tag(&QUANTITIES, quantity_tag, quantity.read()?, "quantity")?;
+                    let report_config = match has_rc.read()? {
+                        0 => None,
+                        1 => Some(ReportConfig {
+                            event: event_from(rc_evt_tag.read()?, &mut rc_evt_params)?,
+                            quantity: from_tag(
+                                &QUANTITIES,
+                                quantity_tag,
+                                rc_quantity.read()?,
+                                "quantity",
+                            )?,
+                            hysteresis_db: rc_hyst.read()?,
+                            time_to_trigger_ms: rc_ttt.read_u32()?,
+                            report_interval_ms: rc_interval.read_u32()?,
+                            report_amount: rc_amount.read_u8()?,
+                        }),
+                        t => {
+                            return Err(StoreError::Schema(format!("bad option flag {t}")));
+                        }
+                    };
+                    HandoffKind::Active {
+                        decisive,
+                        quantity: q,
+                        report_config,
+                        report_t_ms: report_t.read()?,
+                        command_delay_ms: cmd_delay.read()?,
+                    }
+                }
+                t => return Err(StoreError::Schema(format!("unknown handoff kind tag {t}"))),
+            };
+            let record = HandoffRecord {
+                t_ms: t,
+                from: from_v,
+                to: to_v,
+                kind: kind_v,
+                rsrp_old_dbm: rsrp_old.read()?,
+                rsrp_new_dbm: rsrp_new.read()?,
+                rsrq_old_db: rsrq_old.read()?,
+                rsrq_new_db: rsrq_new.read()?,
+                min_thpt_before_bps: match has_thpt.read()? {
+                    0 => None,
+                    1 => Some(thpt.read()?),
+                    t => return Err(StoreError::Schema(format!("bad option flag {t}"))),
+                },
+            };
+            out.push(HandoffInstance {
+                carrier: carrier_v,
+                city: city_v,
+                record,
+            });
+        }
+        Ok(out)
+    }
+
+    fn matches(pred: &Predicate, row: &HandoffInstance) -> bool {
+        pred.matches_d1(row)
+    }
 }
 
 impl D1 {
@@ -1120,200 +1173,12 @@ impl D1 {
 
     /// Write with an explicit row-group size.
     pub fn write_store_with<W: Write>(&self, w: W, block_rows: usize) -> Result<(), MmError> {
-        let block_rows = block_rows.max(1);
-        let instances: Vec<&HandoffInstance> = self.iter_handoffs().collect();
-        let mut dict = DictBuilder::new();
-        let mut groups = Vec::new();
-        for chunk in instances.chunks(block_rows) {
-            let rows: Vec<HandoffInstance> = chunk.iter().map(|&i| i.clone()).collect();
-            groups.push(d1_group_payload(&mut dict, &rows));
-        }
-        let mut writer = StoreWriter::new(w, KIND_D1)?;
-        writer.write_block(TAG_DICT, &dict.encode())?;
-        for g in &groups {
-            writer.write_block(TAG_ROWS, g)?;
-        }
-        writer.finish(instances.len() as u64)
+        write_rows::<D1Codec, W>(w, self.iter_handoffs(), block_rows)
     }
 
     /// Read a dataset written by [`write_store`](D1::write_store).
     pub fn read_store<R: Read>(r: R) -> Result<D1, MmError> {
-        let mut instances = Vec::new();
-        for row in D1StoreReader::new(r)? {
-            instances.push(row?);
-        }
-        Ok(D1::from_instances(instances))
-    }
-}
-
-/// Streaming D1 reader — the D1 twin of [`D2StoreReader`], with the same
-/// pushdown configuration surface (carrier/city constraints only; D1 rows
-/// have no parameter or RAT columns).
-pub struct D1StoreReader<R: Read> {
-    inner: StoreReader<R>,
-    dict: Option<ResolvedDict>,
-    buf: std::vec::IntoIter<HandoffInstance>,
-    decoded: u64,
-    done: bool,
-    pred: Predicate,
-    pushdown: bool,
-    filter: Option<GroupFilter>,
-    stats: ScanStats,
-}
-
-impl<R: Read> D1StoreReader<R> {
-    /// Open a store stream and validate its header.
-    pub fn new(r: R) -> Result<Self, MmError> {
-        let inner = StoreReader::new(r)?;
-        if inner.kind() != KIND_D1 {
-            return Err(StoreError::Schema(format!(
-                "expected kind {KIND_D1:?}, found {:?}",
-                inner.kind()
-            ))
-            .into());
-        }
-        check_group_version(&inner)?;
-        Ok(D1StoreReader {
-            inner,
-            dict: None,
-            buf: Vec::new().into_iter(),
-            decoded: 0,
-            done: false,
-            pred: Predicate::any(),
-            pushdown: false,
-            filter: None,
-            stats: ScanStats::default(),
-        })
-    }
-
-    /// Yield only rows matching `pred` (carrier/city constraints), skipping
-    /// whole row groups via their vocabulary stats — skipped groups are
-    /// neither decoded nor checksum-verified, as in
-    /// [`D2StoreReader::with_predicate`]. Call before iterating.
-    pub fn with_predicate(mut self, pred: &Predicate) -> Self {
-        self.pred = pred.clone();
-        self.pushdown = true;
-        self
-    }
-
-    /// Yield only rows matching `pred`, decoding every group — the
-    /// full-scan baseline.
-    pub fn scan_with_predicate(mut self, pred: &Predicate) -> Self {
-        self.pred = pred.clone();
-        self.pushdown = false;
-        self
-    }
-
-    /// What this scan decoded vs skipped so far (complete once iteration
-    /// has finished).
-    pub fn scan_stats(&self) -> ScanStats {
-        self.stats
-    }
-
-    fn refill(&mut self) -> Result<bool, MmError> {
-        loop {
-            // Same pushdown shape as the D2 reader: rejected groups are
-            // discarded on their (unverified) stats prefix, before the
-            // checksum pass; unparseable prefixes fall through to the
-            // verified path for a typed error.
-            let Self {
-                inner,
-                filter,
-                stats,
-                ..
-            } = self;
-            let next = if let Some(f) = filter.as_ref() {
-                inner.next_block_if(&mut |tag, payload| {
-                    if tag != TAG_ROWS {
-                        return true;
-                    }
-                    let Ok(prefix) = decode_group_prefix(payload, D1_COLS, D1_STATS) else {
-                        return true;
-                    };
-                    if f.admits(&prefix.stats) {
-                        return true;
-                    }
-                    stats.groups_skipped += 1;
-                    stats.rows_skipped += prefix.n_rows;
-                    false
-                })?
-            } else {
-                inner.next_block()?
-            };
-            let Some(block) = next else {
-                let declared = self.inner.records().unwrap_or(0);
-                let seen = self.decoded + self.stats.rows_skipped;
-                if declared != seen {
-                    return Err(StoreError::Schema(format!(
-                        "trailer declares {declared} rows, saw {seen}"
-                    ))
-                    .into());
-                }
-                publish_scan_stats("d1", self.stats);
-                return Ok(false);
-            };
-            match block.tag {
-                TAG_DICT => {
-                    let dict =
-                        ResolvedDict::new(Dict::decode(&block.payload).map_err(MmError::Store)?);
-                    if self.pushdown && (self.pred.carrier.is_some() || self.pred.city.is_some()) {
-                        self.filter = Some(d1_filter(&self.pred, &dict));
-                    }
-                    self.dict = Some(dict);
-                }
-                TAG_ROWS => {
-                    let dict = self.dict.as_ref().ok_or_else(|| {
-                        StoreError::Schema("row group before dictionary".to_string())
-                    })?;
-                    let prefix = decode_group_prefix(&block.payload, D1_COLS, D1_STATS)?;
-                    if let Some(f) = &self.filter {
-                        if !f.admits(&prefix.stats) {
-                            self.stats.groups_skipped += 1;
-                            self.stats.rows_skipped += prefix.n_rows;
-                            continue;
-                        }
-                    }
-                    let mut rows = d1_decode_group(dict, prefix)?;
-                    self.stats.groups_decoded += 1;
-                    self.decoded += rows.len() as u64;
-                    if !self.pred.is_any() {
-                        let pred = &self.pred;
-                        rows.retain(|i| pred.matches_d1(i));
-                    }
-                    self.buf = rows.into_iter();
-                    return Ok(true);
-                }
-                t => {
-                    return Err(StoreError::Schema(format!("unknown block tag {t}")).into());
-                }
-            }
-        }
-    }
-}
-
-impl<R: Read> Iterator for D1StoreReader<R> {
-    type Item = Result<HandoffInstance, MmError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if let Some(row) = self.buf.next() {
-                return Some(Ok(row));
-            }
-            match self.refill() {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.done = true;
-                    return None;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
+        read_rows::<D1Codec, R>(r).map(D1::from_instances)
     }
 }
 
@@ -1394,16 +1259,6 @@ mod tests {
     }
 
     #[test]
-    fn d2_round_trips_exactly() {
-        let d2 = small_d2();
-        assert!(d2.len() > 100, "need a non-trivial dataset");
-        let mut buf = Vec::new();
-        d2.write_store(&mut buf).unwrap();
-        let back = D2::read_store(buf.as_slice()).unwrap();
-        assert_eq!(d2, back);
-    }
-
-    #[test]
     fn d2_streams_across_many_small_blocks() {
         let d2 = small_d2();
         let mut buf = Vec::new();
@@ -1420,16 +1275,6 @@ mod tests {
             blocks += 1;
         }
         assert!(blocks > d2.len() / 7, "expected many row groups");
-    }
-
-    #[test]
-    fn d1_round_trips_exactly_including_kind_payloads() {
-        let d1 = small_d1();
-        assert!(!d1.is_empty(), "campaign produced no handoffs");
-        let mut buf = Vec::new();
-        d1.write_store(&mut buf).unwrap();
-        let back = D1::read_store(buf.as_slice()).unwrap();
-        assert_eq!(d1, back);
     }
 
     #[test]
@@ -1453,16 +1298,6 @@ mod tests {
         let mut buf = Vec::new();
         D1::default().write_store(&mut buf).unwrap();
         assert!(D1::read_store(buf.as_slice()).unwrap().is_empty());
-    }
-
-    #[test]
-    fn kind_mismatch_is_a_schema_error() {
-        let mut buf = Vec::new();
-        D2::default().write_store(&mut buf).unwrap();
-        assert!(matches!(
-            D1::read_store(buf.as_slice()),
-            Err(MmError::Store(StoreError::Schema(_)))
-        ));
     }
 
     #[test]
@@ -1570,32 +1405,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_column_count_fails_fast_before_decode() {
-        // Hand-build a file whose single row group declares the wrong
-        // column count: the reader must fail with a Schema error *without*
-        // touching column bytes.
-        let mut dict = DictBuilder::new();
-        dict.intern("A");
-        let group = encode_group(
-            1,
-            &[vec![0], vec![0], vec![0], vec![0]],
-            vec![vec![1, 2, 3]],
-        );
-        let mut out = Vec::new();
-        let mut w = StoreWriter::new(&mut out, KIND_D2).unwrap();
-        w.write_block(TAG_DICT, &dict.encode()).unwrap();
-        w.write_block(TAG_ROWS, &group).unwrap();
-        w.finish(1).unwrap();
-        let got = D2::read_store(out.as_slice());
-        match got {
-            Err(MmError::Store(StoreError::Schema(msg))) => {
-                assert!(msg.contains("columns"), "unexpected message: {msg}");
-            }
-            other => panic!("expected schema error, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn unknown_vocabulary_is_a_schema_error() {
         // Hand-build a file whose dictionary holds a carrier code the
         // workspace does not know.
@@ -1632,5 +1441,153 @@ mod tests {
             D2::read_store(out.as_slice()),
             Err(MmError::Store(StoreError::Schema(_)))
         ));
+    }
+
+    #[test]
+    fn enum_tags_decode_back() {
+        for rat in Rat::ALL {
+            assert_eq!(
+                from_tag(&Rat::ALL, rat_tag, rat_tag(rat), "RAT").unwrap(),
+                rat
+            );
+        }
+        for q in QUANTITIES {
+            assert_eq!(
+                from_tag(&QUANTITIES, quantity_tag, quantity_tag(q), "q").unwrap(),
+                q
+            );
+        }
+        for r in RELATIONS {
+            assert_eq!(
+                from_tag(&RELATIONS, relation_tag, relation_tag(r), "r").unwrap(),
+                r
+            );
+        }
+    }
+
+    #[test]
+    fn stored_bytes_are_pinned_and_round_trip() {
+        // FNV-1a of each dataset's store file: any change to the stored
+        // bytes, in either codec or the shared framing, fails here.
+        let (d1, d2) = (small_d1(), small_d2());
+        assert!(
+            !d1.is_empty() && d2.len() > 100,
+            "need non-trivial datasets"
+        );
+        let mut d1_file = Vec::new();
+        d1.write_store_with(&mut d1_file, 50).unwrap();
+        let mut d2_file = Vec::new();
+        d2.write_store_with(&mut d2_file, 50).unwrap();
+        assert_eq!(mm_store::fnv1a64(&d1_file), 0xbda6_fa84_edec_b51c);
+        assert_eq!(mm_store::fnv1a64(&d2_file), 0x9735_f6e4_60ae_fa42);
+        assert_eq!(D1::read_store(d1_file.as_slice()).unwrap(), d1);
+        assert_eq!(D2::read_store(d2_file.as_slice()).unwrap(), d2);
+    }
+
+    /// A store file of `kind` holding `blocks` in order, whose trailer
+    /// declares `records` rows.
+    fn frame(kind: &str, blocks: &[(u8, &[u8])], records: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut w = StoreWriter::new(&mut out, kind).unwrap();
+        for &(tag, payload) in blocks {
+            w.write_block(tag, payload).unwrap();
+        }
+        w.finish(records).unwrap();
+        out
+    }
+
+    /// Read every row of `bytes` as dataset `C` (under pushdown when `pred`
+    /// is given) and require the schema error `want`; returns the scan's
+    /// group accounting.
+    fn expect_schema_error<C: GroupCodec>(
+        bytes: &[u8],
+        pred: Option<&Predicate>,
+        want: &str,
+    ) -> ScanStats {
+        let (got, stats) = match GroupReader::<&[u8], C>::new(bytes) {
+            Err(e) => (Err(e), ScanStats::default()),
+            Ok(r) => {
+                let mut r = match pred {
+                    Some(pred) => r.with_predicate(pred),
+                    None => r,
+                };
+                let rows: Result<Vec<C::Row>, MmError> = r.by_ref().collect();
+                (rows.map(|rows| rows.len()), r.scan_stats())
+            }
+        };
+        match got {
+            Err(MmError::Store(StoreError::Schema(msg))) if msg.contains(want) => stats,
+            other => panic!(
+                "{}: want a schema error containing {want:?}, got {other:?}",
+                C::DATASET
+            ),
+        }
+    }
+
+    /// Run one codec's rows through every hostile framing of its blocks.
+    /// `pred` must let pushdown skip some groups of `block_rows` rows.
+    fn hostile_framings<C: GroupCodec>(rows: &[&C::Row], block_rows: usize, pred: &Predicate) {
+        let (dict, groups) = encode_blocks::<C>(rows, block_rows);
+        assert!(groups.len() > 2, "{}: need several row groups", C::DATASET);
+        let n = rows.len() as u64;
+        let mut ordered: Vec<(u8, &[u8])> = vec![(TAG_DICT, &dict)];
+        ordered.extend(groups.iter().map(|g| (TAG_ROWS, g.as_slice())));
+        let mut late_dict = ordered.clone();
+        late_dict.swap(0, 1);
+        let mut junk = ordered.clone();
+        junk.insert(1, (9, &b"junk"[..]));
+        // A group declaring one column too many fails before any column
+        // byte is decoded.
+        let wide = encode_group(
+            1,
+            &vec![BTreeSet::new(); C::STATS],
+            vec![vec![]; C::COLS + 1],
+        );
+        let wide = [(TAG_DICT, &dict[..]), (TAG_ROWS, &wide[..])];
+        let cases = [
+            (
+                frame(C::KIND, &late_dict, n),
+                None,
+                "row group before dictionary",
+            ),
+            (frame(C::KIND, &junk, n), None, "unknown block tag 9"),
+            (frame(C::KIND, &wide, 1), None, "columns, schema expects"),
+            (frame(C::KIND, &ordered, n + 1), None, "trailer declares"),
+            (frame(C::KIND, &ordered, n - 1), None, "trailer declares"),
+            (
+                frame(C::KIND, &ordered, n + 1),
+                Some(pred),
+                "trailer declares",
+            ),
+            (
+                frame(C::KIND, &ordered, n - 1),
+                Some(pred),
+                "trailer declares",
+            ),
+        ];
+        for (bytes, pred, want) in cases {
+            let stats = expect_schema_error::<C>(&bytes, pred, want);
+            assert!(
+                pred.is_none() || stats.groups_skipped > 0,
+                "pushdown skipped nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_framing_is_a_typed_error_for_both_codecs() {
+        let (d1, d2) = (small_d1(), small_d2());
+        let d1_rows: Vec<&HandoffInstance> = d1.iter_handoffs().collect();
+        let d1_pred = Predicate::any().carrier("A").city(City::C1);
+        hostile_framings::<D1Codec>(&d1_rows, 4, &d1_pred);
+        let d2_rows: Vec<&ConfigSample> = d2.iter().collect();
+        hostile_framings::<D2Codec>(&d2_rows, 32, &Predicate::any().carrier("A"));
+        // A well-formed file of one dataset opened as the other.
+        let mut d1_file = Vec::new();
+        d1.write_store(&mut d1_file).unwrap();
+        let mut d2_file = Vec::new();
+        d2.write_store(&mut d2_file).unwrap();
+        expect_schema_error::<D2Codec>(&d1_file, None, "expected kind");
+        expect_schema_error::<D1Codec>(&d2_file, None, "expected kind");
     }
 }

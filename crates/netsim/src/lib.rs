@@ -17,7 +17,6 @@ pub mod link;
 pub mod mobility;
 pub mod network;
 pub mod run;
-pub mod scenario;
 pub mod sched;
 pub mod traffic;
 
@@ -25,7 +24,6 @@ pub use link::LinkModel;
 pub use mobility::Mobility;
 pub use network::Network;
 pub use run::{drive, DriveConfig, DriveResult, HandoffKind, HandoffRecord};
-pub use scenario::{DriveOutcome, Scenario, ScenarioBuilder};
 pub use sched::{
     record_engine_stats, CollectMode, DriveRun, Engine, EngineOutcome, EngineStats, UeOutcome,
     UeTally,

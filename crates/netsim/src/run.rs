@@ -263,32 +263,19 @@ pub(crate) fn log_broadcast(log: &mut SignalingLog, t_ms: u64, network: &Network
     }
 }
 
-/// Run one drive test.
+/// Run one drive test: the simulator's single-UE entry point, a one-config
+/// [`crate::sched::run_full`] on the discrete-event
+/// [`crate::sched::Engine`] (multi-UE work drives the engine directly).
 ///
 /// The UE attaches to the strongest cell at the route start and then follows
 /// the full policy loop. Returns `None` if no cell is detectable at the
 /// start.
-///
-/// Deprecated: this is the single-UE special case of the discrete-event
-/// [`crate::sched::Engine`] — new code should build a
-/// [`crate::scenario::Scenario`] (which returns typed errors instead of
-/// `None`) or drive the engine directly for multi-UE work. The shim is kept
-/// so the artifacts and examples compile unchanged, and its output is
-/// byte-identical to the historical per-tick loop.
 pub fn drive(network: &Network, cfg: &DriveConfig) -> Option<DriveResult> {
     let _span = mm_telemetry::global().span("netsim", "drive");
-    let outcome = crate::sched::Engine::new(network).run(std::slice::from_ref(cfg));
-    crate::sched::record_engine_stats(&outcome.stats);
-    let run = outcome
-        .ues
+    crate::sched::run_full(network, std::slice::from_ref(cfg))
         .into_iter()
         .next()
-        .flatten()?
-        .into_full()
-        // mm-allow(E001): Engine::new collects CollectMode::Full
-        .expect("full collection mode");
-    run.record_telemetry();
-    Some(run.result)
+        .flatten()
 }
 
 #[cfg(test)]

@@ -268,6 +268,28 @@ pub fn record_engine_stats(stats: &EngineStats) {
     .record(stats.max_queue_depth);
 }
 
+/// Run every config's UE to completion in [`CollectMode::Full`] and flush
+/// the run's telemetry: the queue accounting, then each attached drive's
+/// counts. Results are index-aligned with `cfgs` (`None` where no cell was
+/// detectable at the route start). [`crate::run::drive`] is its single-UE
+/// case; D1 campaigns run their shards through it.
+pub fn run_full(network: &Network, cfgs: &[DriveConfig]) -> Vec<Option<DriveResult>> {
+    let outcome = Engine::new(network).run(cfgs);
+    record_engine_stats(&outcome.stats);
+    outcome
+        .ues
+        .into_iter()
+        .map(|ue| {
+            let run = ue?
+                .into_full()
+                // mm-allow(E001): Engine::new collects CollectMode::Full
+                .expect("full collection mode");
+            run.record_telemetry();
+            Some(run.result)
+        })
+        .collect()
+}
+
 /// Cells a UE reports per measurement epoch: the strongest this many.
 const REPORTED_CELLS: usize = 16;
 

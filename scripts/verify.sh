@@ -17,6 +17,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # suppressions are errors, not warnings).
 ./target/release/mmlint --root . --strict-suppress
 cargo test -q --workspace
+# The end-to-end benchmark is a package of its own (not a workspace
+# member) built on the workspace's public API: a change that breaks its
+# build or tests fails here, not at benchmark time.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # The scheduler determinism contract, explicitly (also part of the suite
 # above; kept separate so a violation is unmistakable in CI logs).
 cargo test -q --release --test determinism
