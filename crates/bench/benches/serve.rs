@@ -67,6 +67,10 @@ fn bench_serve(c: &mut Criterion) {
     let addr = listener.local_addr().expect("addr").to_string();
     let server_dir = dir.clone();
     let (srv_ctx, _) = serve_ctx(c);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bench hosts a resident server on its own thread, as mmqd does; it renders no artifact"
+    )]
     let handle = std::thread::spawn(move || {
         let engine = QueryEngine::open(&server_dir, srv_ctx).expect("engine opens");
         let cfg = ServeConfig {

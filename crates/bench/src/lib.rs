@@ -24,6 +24,8 @@
 //! `<target>/mm-bench/<bench>.json`, or into the directory named by the
 //! `MM_BENCH_OUT` environment variable.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::time::{Duration, Instant};
 
 use mm_json::{Json, ToJson};
@@ -61,8 +63,11 @@ pub fn corridor() -> Network {
 /// metro fleet's city, where a UE hears nearly every cell.
 pub fn metro() -> Network {
     let world = mmcarriers::world::World::generate(2018, 0.2);
+    #[expect(
+        clippy::expect_used,
+        reason = "carrier A deploys LTE in C1 at every world scale"
+    )]
     mmlab::campaign::city_network(&world, "A", mmcarriers::City::C1, 2018)
-        // mm-allow(E001): carrier A deploys LTE in C1 at every world scale
         .expect("carrier A has LTE cells in C1")
 }
 

@@ -49,7 +49,10 @@ impl<T: Clone> Categorical<T> {
                 return v.clone();
             }
         }
-        // mm-allow(E001): Categorical::new rejects an empty support
+        #[expect(
+            clippy::expect_used,
+            reason = "Categorical::new rejects an empty support"
+        )]
         self.items.last().expect("non-empty").0.clone()
     }
 
@@ -65,11 +68,14 @@ impl<T: Clone> Categorical<T> {
 
     /// The modal (highest-weight) value.
     pub fn mode(&self) -> &T {
+        #[expect(
+            clippy::expect_used,
+            reason = "Categorical::new rejects an empty support"
+        )]
         &self
             .items
             .iter()
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            // mm-allow(E001): Categorical::new rejects an empty support
             .expect("non-empty")
             .0
     }

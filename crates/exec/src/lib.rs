@@ -1,3 +1,4 @@
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 //! # mm-exec — deterministic task-parallel execution engine
 //!
@@ -265,7 +266,10 @@ impl Executor {
                             // Own deque first, LIFO-front (submission order
                             // within the worker's share).
                             let popped = {
-                                // mm-allow(E001): a poisoned queue mutex means a worker already panicked; propagate
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "a poisoned queue mutex means a worker already panicked; propagate"
+                                )]
                                 let mut q = queues[wid].lock().expect("queue poisoned");
                                 depth_seen = depth_seen.max(q.len());
                                 q.pop_front()
@@ -278,8 +282,11 @@ impl Executor {
                                     let mut found = None;
                                     for off in 1..workers {
                                         let vid = (wid + off) % workers;
+                                        #[expect(
+                                            clippy::expect_used,
+                                            reason = "a poisoned queue mutex means a worker already panicked; propagate"
+                                        )]
                                         let mut q =
-                                            // mm-allow(E001): a poisoned queue mutex means a worker already panicked; propagate
                                             queues[vid].lock().expect("queue poisoned");
                                         if let Some(t) = q.pop_back() {
                                             found = Some(t);
@@ -321,7 +328,10 @@ impl Executor {
         let mut out = Vec::with_capacity(n);
         let mut task_ns = Vec::with_capacity(n);
         for slot in slots {
-            // mm-allow(E001): scatter assigns every index to exactly one worker and join propagates worker panics
+            #[expect(
+                clippy::expect_used,
+                reason = "scatter assigns every index to exactly one worker and join propagates worker panics"
+            )]
             let (result, ns) = slot.expect("every submitted task produced a result");
             out.push(result);
             task_ns.push(ns);

@@ -433,6 +433,10 @@ fn main() {
         } else {
             eprintln!("mmq: error: {err}");
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mmq is a process boundary: it maps MmError to exit code 2 (usage) or 3 (runtime)"
+        )]
         std::process::exit(err.exit_code());
     }
 }

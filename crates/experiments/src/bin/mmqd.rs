@@ -156,6 +156,10 @@ fn main() {
         } else {
             eprintln!("mmqd: error: {err}");
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mmqd is a process boundary: it maps MmError to exit code 2 (usage) or 3 (runtime)"
+        )]
         std::process::exit(err.exit_code());
     }
 }

@@ -576,6 +576,10 @@ fn main() {
         } else {
             eprintln!("mmx: error: {err}");
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "mmx is a process boundary: it maps MmError to exit code 2 (usage) or 3 (runtime)"
+        )]
         std::process::exit(err.exit_code());
     }
 }

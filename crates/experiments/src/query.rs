@@ -774,7 +774,10 @@ impl QueryEngine {
     fn ctx_for(&self, pred: &Predicate) -> Result<(Arc<Ctx>, ScanStats), MmError> {
         let key = pred.normalized();
         {
-            // mm-allow(E001): a poisoned memo mutex means a worker already panicked; propagate
+            #[expect(
+                clippy::expect_used,
+                reason = "a poisoned memo mutex means a worker already panicked; propagate"
+            )]
             let memo = self.memo.lock().expect("query memo poisoned");
             if let Some((sub, scan)) = memo.get(&key) {
                 return Ok((Arc::clone(sub), *scan));
@@ -789,7 +792,10 @@ impl QueryEngine {
             .build();
         sub.preload_d2_agg(agg);
         let sub = Arc::new(sub);
-        // mm-allow(E001): a poisoned memo mutex means a worker already panicked; propagate
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned memo mutex means a worker already panicked; propagate"
+        )]
         let mut memo = self.memo.lock().expect("query memo poisoned");
         let (sub, scan) = memo.entry(key).or_insert((Arc::clone(&sub), scan)).clone();
         Ok((sub, scan))

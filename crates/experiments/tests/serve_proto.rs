@@ -46,6 +46,10 @@ fn start_server(
     };
     tune(&mut cfg);
     let dir2 = dir.clone();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test hosts the server under test on its own thread, as mmqd does"
+    )]
     let handle = std::thread::spawn(move || {
         let engine = QueryEngine::open(&dir2, Ctx::builder().quick().scale(0.02).build())
             .expect("engine opens the fixture");

@@ -1,4 +1,4 @@
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 //! # mm-json — a minimal in-tree JSON codec
 //!
 //! The workspace's real serialization surface is small — JSONL dataset

@@ -2,45 +2,40 @@
 //!
 //! ```text
 //! mmlint [--root DIR] [--json] [--list] [--strict-suppress]
-//!        [--cache-dir DIR | --no-cache]
 //! mmlint --explain RULE
 //! ```
 //!
 //! With no flags, lints the workspace rooted at the nearest ancestor of
-//! the current directory containing a `Cargo.toml` with a `[workspace]`
-//! table (or `--root DIR` explicitly), prints findings as
+//! the current directory whose `Cargo.toml` declares a workspace table
+//! (or `--root DIR` explicitly), prints findings as
 //! `file:line: RULE severity: message`, and exits 0 when clean, 3 when
 //! diagnostics were found, 2 on usage errors — the same convention as
 //! `mmx`.
 //!
-//! Per-file analysis results are cached under `<root>/target/mmlint-cache`
-//! (override with `--cache-dir`, disable with `--no-cache`); warm runs
-//! re-analyze only changed files. Cache statistics go to stderr so stdout
-//! stays byte-identical whatever the cache or `MM_THREADS` says.
 //! `--strict-suppress` turns the stale-suppression audit (S002) into an
 //! error, for CI.
 
 use mm_json::ToJson;
-use mm_lint::{analyze_workspace_with, rule_by_id, LintOptions, RULES};
+use mm_lint::manifest::declares_workspace;
+use mm_lint::{analyze_workspace, rule_by_id, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> String {
     "usage: mmlint [--root DIR] [--json] [--list] [--strict-suppress] \
-     [--cache-dir DIR | --no-cache] [--explain RULE] [--version]"
+     [--explain RULE] [--version]"
         .to_string()
 }
 
 /// Find the workspace root: walk up from `start` to the first directory
-/// whose `Cargo.toml` declares `[workspace]`.
+/// whose `Cargo.toml` declares a workspace table — the same test the
+/// walker uses to skip nested workspaces.
 fn find_root(start: PathBuf) -> Option<PathBuf> {
     let mut dir = start;
     loop {
         let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.lines().any(|l| l.trim() == "[workspace]") {
-                return Some(dir);
-            }
+        if std::fs::read_to_string(&manifest).is_ok_and(|text| declares_workspace(&text)) {
+            return Some(dir);
         }
         if !dir.pop() {
             return None;
@@ -52,8 +47,6 @@ fn run() -> Result<ExitCode, (i32, String)> {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut strict_suppress = false;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut no_cache = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -63,13 +56,6 @@ fn run() -> Result<ExitCode, (i32, String)> {
             }
             "--json" => json = true,
             "--strict-suppress" => strict_suppress = true,
-            "--no-cache" => no_cache = true,
-            "--cache-dir" => {
-                let dir = args
-                    .next()
-                    .ok_or((2, format!("--cache-dir needs a value\n{}", usage())))?;
-                cache_dir = Some(PathBuf::from(dir));
-            }
             "--root" => {
                 let dir = args
                     .next()
@@ -107,35 +93,15 @@ fn run() -> Result<ExitCode, (i32, String)> {
             let cwd = std::env::current_dir().map_err(|e| (3, format!("cwd: {e}")))?;
             find_root(cwd).ok_or((
                 2,
-                "no workspace root found (no ancestor Cargo.toml with [workspace]); \
+                "no workspace root found (no ancestor Cargo.toml declares a workspace); \
                  pass --root DIR"
                     .to_string(),
             ))?
         }
     };
 
-    if no_cache && cache_dir.is_some() {
-        return Err((
-            2,
-            format!("--no-cache conflicts with --cache-dir\n{}", usage()),
-        ));
-    }
-    let opts = LintOptions {
-        cache_dir: if no_cache {
-            None
-        } else {
-            Some(cache_dir.unwrap_or_else(|| root.join("target/mmlint-cache")))
-        },
-        strict_suppress,
-    };
-
-    let report = analyze_workspace_with(&root, &opts)
+    let report = analyze_workspace(&root, strict_suppress)
         .map_err(|e| (3, format!("scanning {}: {e}", root.display())))?;
-    // Stats stay off stdout: its bytes must not depend on cache warmth.
-    eprintln!(
-        "mmlint: {} of {} file analyses from cache",
-        report.cache_hits, report.files_scanned
-    );
 
     if json {
         println!("{}", report.to_json_string());

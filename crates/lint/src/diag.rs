@@ -24,7 +24,7 @@ impl Severity {
 /// One finding, anchored to a workspace-relative file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id (`D001`, `Z001`, ...).
+    /// Rule id (`R001`, `Z001`, ...).
     pub rule: &'static str,
     /// Severity of this finding.
     pub severity: Severity,
@@ -77,9 +77,6 @@ pub struct Report {
     pub files_scanned: usize,
     /// Number of manifests (Cargo.toml) scanned.
     pub manifests_scanned: usize,
-    /// Files whose phase-1 analysis was served from the content-addressed
-    /// cache (0 when caching is off).
-    pub cache_hits: usize,
 }
 
 impl Report {
@@ -119,7 +116,6 @@ impl ToJson for Report {
                 "manifests_scanned",
                 Json::Num(self.manifests_scanned as f64),
             ),
-            ("cache_hits", Json::Num(self.cache_hits as f64)),
             ("errors", Json::Num(self.errors() as f64)),
             ("warnings", Json::Num(self.warnings() as f64)),
             ("suppressed", Json::Num(self.suppressed() as f64)),
@@ -135,11 +131,11 @@ mod tests {
 
     fn diag() -> Diagnostic {
         Diagnostic {
-            rule: "D001",
+            rule: "R001",
             severity: Severity::Error,
             file: "crates/core/src/ue.rs".into(),
             line: 87,
-            message: "HashMap in a deterministic crate".into(),
+            message: "from_entropy in deterministic code".into(),
             suppressed: false,
         }
     }
@@ -148,7 +144,7 @@ mod tests {
     fn human_rendering_is_file_line_rule() {
         assert_eq!(
             diag().human(),
-            "crates/core/src/ue.rs:87: D001 error: HashMap in a deterministic crate"
+            "crates/core/src/ue.rs:87: R001 error: from_entropy in deterministic code"
         );
     }
 
@@ -160,19 +156,17 @@ mod tests {
             diagnostics: vec![diag(), quiet],
             files_scanned: 3,
             manifests_scanned: 2,
-            cache_hits: 1,
         };
         let text = report.to_json_string();
         let v = Json::from_json_str(&text).expect("valid mm-json");
         assert_eq!(v.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("errors").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("suppressed").and_then(Json::as_u64), Some(1));
-        assert_eq!(v.get("cache_hits").and_then(Json::as_u64), Some(1));
         let diags = v
             .get("diagnostics")
             .and_then(|d| d.as_array())
             .expect("array");
-        assert_eq!(diags[0].get("rule").and_then(Json::as_str), Some("D001"));
+        assert_eq!(diags[0].get("rule").and_then(Json::as_str), Some("R001"));
         assert_eq!(diags[0].get("line").and_then(Json::as_u64), Some(87));
         assert_eq!(
             diags[0].get("suppressed").and_then(Json::as_bool),
@@ -192,7 +186,6 @@ mod tests {
             diagnostics: vec![quiet],
             files_scanned: 1,
             manifests_scanned: 0,
-            cache_hits: 0,
         };
         assert!(report.is_clean());
         assert_eq!(report.suppressed(), 1);

@@ -2,30 +2,27 @@
 //! tracking, suppression handling, and the two-phase workspace pass.
 //!
 //! Phase 1 is per-file and pure: lex, extract items, run the token rules,
-//! parse and apply suppressions. Its result is content-addressed in the
-//! analysis cache (see `cache.rs`) and the files are scattered over the
-//! mm-exec executor — the ordered gather plus the final (file, line,
-//! rule) sort keep `mmlint` output byte-identical at any `MM_THREADS`.
-//! Phase 2 is workspace-global and always fresh: the crate dependency
-//! graph from the manifests, the approximate call graph, and the
-//! R003/F001/P001/P002 rules (see `graph.rs`), followed by the
-//! graph-phase suppression audit (S002).
+//! parse and apply suppressions. Phase 2 is workspace-global: the crate
+//! dependency graph from the manifests, the approximate call graph, and
+//! the R003/F001/P001/P002 rules (see `graph.rs`), followed by the
+//! graph-phase suppression audit (S002). Both phases run sequentially in
+//! sorted path order, and the final (file, line, rule) sort makes the
+//! report a pure function of the workspace's files.
 
-use crate::cache::{self, CachedFile};
 use crate::diag::{Diagnostic, Report, Severity};
 use crate::graph::{self, FileSummary};
 use crate::items;
 use crate::lexer::{self, Lexed};
 use crate::manifest::{self, DepSource};
 use crate::rules;
-use mm_exec::Executor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Determinism scope of a crate. `Sched` crates (the executor, telemetry,
-/// and the bench harness) are allowed wall clocks and unordered
-/// containers because their nondeterminism is fenced off from simulation
-/// output; everything else must be bit-reproducible.
+/// the bench harness and the server) are exempt from the RNG rules here,
+/// and from the wall-clock and hash-container rules through their own
+/// `clippy.toml`, because their nondeterminism is fenced off from
+/// simulation output; everything else must be bit-reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Must produce byte-identical output for any thread count and re-run.
@@ -52,7 +49,8 @@ pub enum FileKind {
 /// Crate directory names whose scope is [`Scope::Sched`]: timing is their
 /// job (bench), or they manage wall-clock-bound machinery the
 /// deterministic simulation layer never reads (exec worker stats,
-/// telemetry span shims, net serving deadlines).
+/// telemetry span shims, net serving deadlines). Keep in step with the
+/// crates that carry their own `clippy.toml`.
 const SCHED_CRATES: &[&str] = &["bench", "exec", "telemetry", "net"];
 
 /// Classify a workspace-relative path into (crate name, scope, kind).
@@ -110,8 +108,8 @@ impl FileCtx<'_> {
     }
 
     /// Comment text on `line` or in the contiguous comment block directly
-    /// above it — where A001 looks for `SAFETY:` / `relaxed-ok:`
-    /// justifications (which often wrap over several comment lines).
+    /// above it — where A001 looks for `relaxed-ok:` justifications (which
+    /// often wrap over several comment lines).
     pub fn nearby_comment_contains(&self, line: u32, needle: &str) -> bool {
         if self
             .lexed
@@ -234,11 +232,21 @@ fn parse_suppressions(path: &str, lexed: &Lexed, diags: &mut Vec<Diagnostic>) ->
     out
 }
 
+/// Everything phase 1 produces for one file.
+struct FileAnalysis {
+    /// Token-rule diagnostics, suppressions already applied (marked).
+    diags: Vec<Diagnostic>,
+    /// Extracted items for the graph phase.
+    items: items::FileItems,
+    /// `(line, rule)` suppressions naming graph-phase rules.
+    graph_sups: Vec<(u32, String)>,
+}
+
 /// Phase 1 for one file: lex, extract items, run every token rule, apply
 /// token-rule suppressions (same line or the line above — matched ones
 /// are *marked*, not dropped), flag unused ones as S001, and hold
 /// suppressions naming graph-phase rules for phase 2.
-fn analyze_file(rel_path: &str, src: &str) -> CachedFile {
+fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
     let (crate_name, scope, kind) = classify(rel_path);
     let lexed = lexer::lex(src);
     let ranges = test_ranges(&lexed);
@@ -296,7 +304,7 @@ fn analyze_file(rel_path: &str, src: &str) -> CachedFile {
         }
     }
     diags.extend(meta);
-    CachedFile {
+    FileAnalysis {
         diags,
         items: extracted,
         graph_sups,
@@ -318,32 +326,56 @@ pub fn analyze_manifest_src(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     diags
 }
 
-/// Run the full two-phase pipeline over in-memory `(path, source)` pairs
-/// — the workspace analysis without any filesystem. Manifest entries
-/// (paths ending in `Cargo.toml`) contribute hermeticity checks and crate
-/// dependency edges; with no manifests, call resolution widens to every
-/// file. This is what the graph-rule fixtures drive.
+/// A `Cargo.toml` manifest.
+fn is_manifest(rel: &str) -> bool {
+    rel == "Cargo.toml" || rel.ends_with("/Cargo.toml")
+}
+
+/// A build script: `build.rs` anywhere but inside a `src/` tree.
+fn is_build_script(rel: &str) -> bool {
+    (rel == "build.rs" || rel.ends_with("/build.rs")) && !rel.contains("/src/")
+}
+
+/// Run the full two-phase pipeline over in-memory `(path, source)` pairs.
+/// Manifest entries (paths ending in `Cargo.toml`) contribute hermeticity
+/// checks and crate dependency edges; with no manifests, call resolution
+/// widens to every file. A build script is a Z001 finding by existence.
+/// [`analyze_workspace`] feeds this the files it reads from disk, and the
+/// fixture tests drive it directly.
 pub fn analyze_files(files: &[(&str, &str)], strict_suppress: bool) -> Vec<Diagnostic> {
     let mut diagnostics = Vec::new();
     let mut summaries = Vec::new();
     let mut manifests = Vec::new();
-    for (rel, src) in files {
-        if *rel == "Cargo.toml" || rel.ends_with("/Cargo.toml") {
+    for &(rel, src) in files {
+        if is_manifest(rel) {
             diagnostics.extend(analyze_manifest_src(rel, src));
-            manifests.push((rel.to_string(), src.to_string()));
-            continue;
+            manifests.push((rel, src));
+        } else if is_build_script(rel) {
+            // A build script's existence alone breaks hermeticity: it runs
+            // arbitrary host code at compile time.
+            diagnostics.push(Diagnostic {
+                rule: "Z001",
+                severity: Severity::Error,
+                file: rel.to_string(),
+                line: 1,
+                message: "build.rs is forbidden: the workspace builds hermetically with no \
+                          compile-time codegen"
+                    .to_string(),
+                suppressed: false,
+            });
+        } else {
+            let fa = analyze_file(rel, src);
+            let (crate_name, scope, kind) = classify(rel);
+            diagnostics.extend(fa.diags);
+            summaries.push(FileSummary {
+                path: rel.to_string(),
+                crate_name,
+                scope,
+                kind,
+                items: fa.items,
+                graph_sups: fa.graph_sups,
+            });
         }
-        let fa = analyze_file(rel, src);
-        let (crate_name, scope, kind) = classify(rel);
-        diagnostics.extend(fa.diags);
-        summaries.push(FileSummary {
-            path: rel.to_string(),
-            crate_name,
-            scope,
-            kind,
-            items: fa.items,
-            graph_sups: fa.graph_sups,
-        });
     }
     let crate_deps = crate_deps_from_manifests(&manifests);
     finish_graph_phase(&summaries, &crate_deps, strict_suppress, &mut diagnostics);
@@ -355,9 +387,9 @@ pub fn analyze_files(files: &[(&str, &str)], strict_suppress: bool) -> Vec<Diagn
 /// sources: `path` deps resolve by their last path component, `workspace`
 /// deps through the root `[workspace.dependencies]` table, and the root
 /// package's own deps file under the `mobility-mm` pseudo-crate.
-fn crate_deps_from_manifests(manifests: &[(String, String)]) -> BTreeMap<String, BTreeSet<String>> {
+fn crate_deps_from_manifests(manifests: &[(&str, &str)]) -> BTreeMap<String, BTreeSet<String>> {
     let mut name_to_dir: BTreeMap<String, String> = BTreeMap::new();
-    for (rel, src) in manifests {
+    for &(rel, src) in manifests {
         if rel != "Cargo.toml" {
             continue;
         }
@@ -370,7 +402,7 @@ fn crate_deps_from_manifests(manifests: &[(String, String)]) -> BTreeMap<String,
         }
     }
     let mut out: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (rel, src) in manifests {
+    for &(rel, src) in manifests {
         let crate_name = if rel == "Cargo.toml" {
             "mobility-mm".to_string()
         } else {
@@ -467,9 +499,9 @@ fn sort_diags(diags: &mut [Diagnostic]) {
     });
 }
 
-/// Directory names never descended into: build output (which also hosts
-/// the default cache dir), VCS state, and lint fixture files (which
-/// contain violations on purpose).
+/// Directory names never descended into: build output, installed JS
+/// packages, and lint fixture files (which contain violations on purpose).
+/// Dot-directories (VCS state) are skipped too.
 const SKIP_DIRS: &[&str] = &["target", "fixtures", "node_modules"];
 
 /// Recursively collect workspace files, sorted for deterministic reports.
@@ -507,115 +539,31 @@ fn is_nested_workspace(dir: &Path) -> bool {
         .is_ok_and(|src| manifest::declares_workspace(&src))
 }
 
-/// Knobs for a workspace analysis.
-#[derive(Debug, Clone, Default)]
-pub struct LintOptions {
-    /// Directory for the content-addressed phase-1 cache; `None` disables
-    /// caching (the library default — `mmlint` passes
-    /// `<root>/target/mmlint-cache` unless `--no-cache`).
-    pub cache_dir: Option<PathBuf>,
-    /// Escalate S002 (stale graph-phase suppressions) to an error.
-    pub strict_suppress: bool,
-}
-
-/// Lint the whole workspace rooted at `root` with default options.
-pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
-    analyze_workspace_with(root, &LintOptions::default())
-}
-
-/// Lint the whole workspace rooted at `root`. Phase 1 scatters per-file
-/// work over the ambient executor (`MM_THREADS`); the ordered gather and
-/// the final sort keep the report byte-identical at any thread count and
-/// any cache state.
-pub fn analyze_workspace_with(root: &Path, opts: &LintOptions) -> std::io::Result<Report> {
-    let mut files = Vec::new();
-    walk(root, root, &mut files)?;
-
-    let mut diagnostics = Vec::new();
-    let mut manifests: Vec<(String, String)> = Vec::new();
-    let mut rs_files: Vec<(String, PathBuf)> = Vec::new();
-    for (rel, path) in files {
-        if rel == "Cargo.toml" || rel.ends_with("/Cargo.toml") {
-            let src = std::fs::read_to_string(&path)?;
-            diagnostics.extend(analyze_manifest_src(&rel, &src));
-            manifests.push((rel, src));
-        } else if rel.ends_with("build.rs") && !rel.contains("/src/") {
-            // A build script's existence alone breaks hermeticity: it runs
-            // arbitrary host code at compile time.
-            diagnostics.push(Diagnostic {
-                rule: "Z001",
-                severity: Severity::Error,
-                file: rel.clone(),
-                line: 1,
-                message: "build.rs is forbidden: the workspace builds hermetically with no \
-                          compile-time codegen"
-                    .to_string(),
-                suppressed: false,
-            });
-        } else {
-            rs_files.push((rel, path));
-        }
+/// Lint the whole workspace rooted at `root`: read every file the walk
+/// finds and run [`analyze_files`] over them. `strict_suppress` escalates
+/// S002 (stale graph-phase suppressions) to an error.
+pub fn analyze_workspace(root: &Path, strict_suppress: bool) -> std::io::Result<Report> {
+    let mut paths = Vec::new();
+    walk(root, root, &mut paths)?;
+    let mut sources = Vec::with_capacity(paths.len());
+    for (rel, path) in paths {
+        let src = std::fs::read_to_string(&path)
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{rel}: {e}")))?;
+        sources.push((rel, src));
     }
-    let manifests_scanned = manifests.len();
-    let files_scanned = rs_files.len();
-    let crate_deps = crate_deps_from_manifests(&manifests);
-
-    // An unusable cache dir silently disables caching: correctness never
-    // depends on it.
-    let cache_dir: Option<PathBuf> = opts
-        .cache_dir
-        .as_ref()
-        .and_then(|d| std::fs::create_dir_all(d).ok().map(|()| d.clone()));
-
-    let exec = Executor::from_env();
-    type Outcome = Result<(String, CachedFile, bool), String>;
-    let outcomes: Vec<Outcome> = exec.scatter_gather(rs_files, |_, (rel, path)| {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{rel}: {e}"))?;
-        if let Some(dir) = &cache_dir {
-            let k = cache::key(&rel, &src);
-            if let Some(mut hit) = cache::load(dir, k) {
-                for d in &mut hit.diags {
-                    d.file.clone_from(&rel);
-                }
-                return Ok((rel, hit, true));
-            }
-            let fresh = analyze_file(&rel, &src);
-            cache::store(dir, k, &fresh);
-            Ok((rel, fresh, false))
-        } else {
-            let fresh = analyze_file(&rel, &src);
-            Ok((rel, fresh, false))
-        }
-    });
-
-    let mut summaries = Vec::new();
-    let mut cache_hits = 0usize;
-    for outcome in outcomes {
-        let (rel, fa, hit) = outcome.map_err(std::io::Error::other)?;
-        cache_hits += usize::from(hit);
-        diagnostics.extend(fa.diags);
-        let (crate_name, scope, kind) = classify(&rel);
-        summaries.push(FileSummary {
-            path: rel,
-            crate_name,
-            scope,
-            kind,
-            items: fa.items,
-            graph_sups: fa.graph_sups,
-        });
-    }
-    finish_graph_phase(
-        &summaries,
-        &crate_deps,
-        opts.strict_suppress,
-        &mut diagnostics,
-    );
-    sort_diags(&mut diagnostics);
+    let files: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(rel, src)| (rel.as_str(), src.as_str()))
+        .collect();
+    let manifests_scanned = files.iter().filter(|(rel, _)| is_manifest(rel)).count();
+    let files_scanned = files
+        .iter()
+        .filter(|(rel, _)| !is_manifest(rel) && !is_build_script(rel))
+        .count();
     Ok(Report {
-        diagnostics,
+        diagnostics: analyze_files(&files, strict_suppress),
         files_scanned,
         manifests_scanned,
-        cache_hits,
     })
 }
 
@@ -662,36 +610,36 @@ mod tests {
 
     #[test]
     fn cfg_test_region_is_excluded() {
-        let src = "pub fn lib_code() { v.unwrap() }\n\
+        let src = "pub fn lib_code() { SmallRng::from_entropy() }\n\
                    #[cfg(test)]\n\
                    mod tests {\n\
-                       fn t() { v.unwrap() }\n\
+                       fn t() { SmallRng::from_entropy() }\n\
                    }\n";
         let diags = analyze_source("crates/core/src/x.rs", src);
-        let e001: Vec<_> = diags.iter().filter(|d| d.rule == "E001").collect();
-        assert_eq!(e001.len(), 1, "{diags:?}");
-        assert_eq!(e001[0].line, 1);
+        let r001: Vec<_> = diags.iter().filter(|d| d.rule == "R001").collect();
+        assert_eq!(r001.len(), 1, "{diags:?}");
+        assert_eq!(r001[0].line, 1);
     }
 
     #[test]
     fn suppressions_mark_without_dropping() {
         let src = "pub fn f() {\n\
-                   v.unwrap(); // mm-allow(E001): infallible by construction\n\
-                   // mm-allow(E001): checked above\n\
-                   w.unwrap();\n\
-                   x.unwrap();\n\
+                   from_entropy(); // mm-allow(R001): replay tool, output never recorded\n\
+                   // mm-allow(R001): replay tool, output never recorded\n\
+                   from_entropy();\n\
+                   from_entropy();\n\
                    }\n";
         let diags = analyze_source("crates/core/src/x.rs", src);
         let active: Vec<_> = diags
             .iter()
-            .filter(|d| d.rule == "E001" && !d.suppressed)
+            .filter(|d| d.rule == "R001" && !d.suppressed)
             .collect();
         assert_eq!(active.len(), 1, "{diags:?}");
         assert_eq!(active[0].line, 5);
         // The two suppressed findings stay in the report, marked.
         let quiet = diags
             .iter()
-            .filter(|d| d.rule == "E001" && d.suppressed)
+            .filter(|d| d.rule == "R001" && d.suppressed)
             .count();
         assert_eq!(quiet, 2, "{diags:?}");
         assert!(diags.iter().all(|d| d.rule != "S001"));
@@ -699,20 +647,21 @@ mod tests {
 
     #[test]
     fn reasonless_and_unknown_and_unused_suppressions_are_s001() {
-        let src = "// mm-allow(E001)\n\
+        let src = "// mm-allow(R001)\n\
                    // mm-allow(Q999): no such rule\n\
-                   // mm-allow(D001): nothing here to suppress\n\
+                   // mm-allow(D001): moved to clippy.toml, so unknown here\n\
+                   // mm-allow(A001): nothing here to suppress\n\
                    pub fn f() {}\n";
         let diags = analyze_source("crates/core/src/x.rs", src);
         let s001: Vec<_> = diags.iter().filter(|d| d.rule == "S001").collect();
-        assert_eq!(s001.len(), 3, "{diags:?}");
+        assert_eq!(s001.len(), 4, "{diags:?}");
     }
 
     #[test]
     fn doc_comments_mentioning_the_syntax_are_not_suppressions() {
         // The marker only counts at the start of a comment, so prose like
         // this line (or rustdoc) never parses as a suppression.
-        let src = "/// Suppress with `mm-allow(E001): reason` on the line.\npub fn f() {}\n";
+        let src = "/// Suppress with `mm-allow(R001): reason` on the line.\npub fn f() {}\n";
         let diags = analyze_source("crates/core/src/x.rs", src);
         assert!(diags.is_empty(), "{diags:?}");
     }

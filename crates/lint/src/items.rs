@@ -8,8 +8,7 @@
 //! enclosing fn), and the *hazard sites* the R/F/P rule families reason
 //! about. No syntax tree is built; like the token rules, everything is a
 //! pattern over ident/punct sequences, which keeps the extractor fast
-//! enough to run on every file of every warm `mmlint` invocation that
-//! misses the cache.
+//! enough to run on every file of every `mmlint` invocation.
 
 use crate::lexer::{Lexed, TokKind};
 
@@ -26,29 +25,6 @@ pub enum HazardKind {
     /// An index expression whose subscript contains an `as` cast
     /// (`v[i as usize]`) — the P002 out-of-bounds panic shape.
     CastIndex,
-}
-
-impl HazardKind {
-    /// One-letter code used by the analysis cache.
-    pub fn code(self) -> char {
-        match self {
-            HazardKind::StreamLabel => 'S',
-            HazardKind::FloatReduce => 'F',
-            HazardKind::PanicMacro => 'P',
-            HazardKind::CastIndex => 'C',
-        }
-    }
-
-    /// Inverse of [`HazardKind::code`].
-    pub fn from_code(c: char) -> Option<HazardKind> {
-        match c {
-            'S' => Some(HazardKind::StreamLabel),
-            'F' => Some(HazardKind::FloatReduce),
-            'P' => Some(HazardKind::PanicMacro),
-            'C' => Some(HazardKind::CastIndex),
-            _ => None,
-        }
-    }
 }
 
 /// One hazard site.

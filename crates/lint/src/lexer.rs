@@ -4,7 +4,7 @@
 //! in the registry is expressible as a pattern over identifier/punctuation
 //! sequences plus the comments attached to nearby lines. The lexer's one
 //! hard job is to *never* mistake string or comment contents for code —
-//! `"HashMap"` in a doc string must not trip D001 — so it handles the full
+//! `"from_entropy("` in a doc string must not trip R001 — so it handles the full
 //! Rust literal surface: nested block comments, raw strings with hash
 //! fences, byte strings, char literals, and the char-vs-lifetime
 //! ambiguity.
@@ -12,7 +12,7 @@
 /// What kind of lexeme a [`Tok`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
-    /// Identifier or keyword (`HashMap`, `unsafe`, `spawn`, ...).
+    /// Identifier or keyword (`Relaxed`, `fn`, `stream_rng`, ...).
     Ident,
     /// A single punctuation character (`.`, `(`, `:`, `{`, ...).
     Punct,

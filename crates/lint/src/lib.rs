@@ -4,10 +4,16 @@
 //! IMC'18 mobility-configuration study is byte-identical for any
 //! `MM_THREADS` and any re-run. Runtime spot-checks (golden FNV hashes,
 //! `MM_THREADS=1` vs `8` snapshot diffs) only cover the paths the test
-//! seeds exercise; this crate enforces the invariants *statically* over
-//! every `.rs` file and `Cargo.toml` in the workspace, so a stray
-//! `HashMap` iteration or `Instant::now()` in a Sim-scope path cannot
-//! silently break reproducibility.
+//! seeds exercise; the invariants are also enforced *statically* over
+//! every `.rs` file and `Cargo.toml` in the workspace.
+//!
+//! The rules rustc and clippy can express are checked-in configuration,
+//! not code here: `HashMap`/`HashSet`, wall clocks, raw thread spawns and
+//! `process::exit` are `disallowed-types`/`disallowed-methods` in the
+//! `clippy.toml` files (per-crate files carry the Sched-scope exemptions),
+//! library roots deny `clippy::unwrap_used`/`expect_used`, and
+//! `[workspace.lints]` forbids `unsafe` and reasonless `#[allow]`/`#[expect]`
+//! attributes. This crate keeps what only it can check.
 //!
 //! The pipeline is deliberately parser-free and runs in two phases. The
 //! per-file phase: a comment/string-aware [`lexer`] turns each file into
@@ -23,10 +29,8 @@
 //! paths (F001), and panic reachability from binary entry points
 //! (P001/P002).
 //!
-//! Per-file results are cached content-addressed by FNV hash ([`cache`])
-//! so warm runs re-analyze only changed files, and the file analyses are
-//! scattered over the mm-exec pool with output byte-identical at any
-//! `MM_THREADS`. Findings can be silenced inline with
+//! Both phases run sequentially, so the report is a pure function of the
+//! workspace's files. Findings can be silenced inline with
 //! `mm-allow(RULE): reason` at the start of a comment on the same line or
 //! the line above — suppressed diagnostics are marked, not dropped, and
 //! reasonless, unknown-rule, or stale suppressions are themselves
@@ -34,13 +38,11 @@
 //! under `--strict-suppress`), so the suppression inventory stays honest.
 //!
 //! The `mmlint` binary runs the whole workspace (human or `--json`
-//! output, `--explain RULE` for rationale, `--no-cache`/`--cache-dir`
-//! for cache control) and is gated in `scripts/verify.sh` alongside
-//! clippy.
+//! output, `--explain RULE` for rationale) and is gated in
+//! `scripts/verify.sh` after clippy.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod cache;
 pub mod diag;
 pub mod engine;
 pub mod graph;
@@ -50,8 +52,5 @@ pub mod manifest;
 pub mod rules;
 
 pub use diag::{Diagnostic, Report, Severity};
-pub use engine::{
-    analyze_files, analyze_manifest_src, analyze_source, analyze_workspace, analyze_workspace_with,
-    LintOptions,
-};
+pub use engine::{analyze_files, analyze_manifest_src, analyze_source, analyze_workspace};
 pub use rules::{is_known_rule, rule_by_id, RULES};

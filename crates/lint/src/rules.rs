@@ -1,5 +1,11 @@
 //! The lint registry: every domain rule, its explanation, and its check.
 //!
+//! Only rules that rustc and clippy cannot express live here. The
+//! container, wall-clock, thread and exit rules are `disallowed-types` /
+//! `disallowed-methods` in the checked-in `clippy.toml` files, panicking
+//! unwraps are `clippy::unwrap_used`/`expect_used` denied in each library
+//! root, and `unsafe` is forbidden by `[workspace.lints]` (DESIGN.md §8).
+//!
 //! Token rules are patterns over the lexed stream of one file (see
 //! [`crate::engine::FileCtx`]); the manifest rule walks the parsed
 //! `Cargo.toml` subset. To add a rule: write a `check_*` function, add a
@@ -13,7 +19,7 @@ use crate::manifest::{self, DepSource};
 
 /// One registered lint.
 pub struct Rule {
-    /// Stable id (`D001`, ...), the key used by `mm-allow` and `--explain`.
+    /// Stable id (`R001`, ...), the key used by `mm-allow` and `--explain`.
     pub id: &'static str,
     /// Gate-failing or advisory.
     pub severity: Severity,
@@ -29,57 +35,14 @@ pub struct Rule {
 /// The registry. Order is the reporting order for `--list`.
 pub const RULES: &[Rule] = &[
     Rule {
-        id: "D001",
-        severity: Severity::Error,
-        summary: "no HashMap/HashSet in deterministic crates",
-        explain: "std::collections::HashMap and HashSet iterate in RandomState order, which \
-                  differs per process. One stray iteration over such a map in a Sim-scope path \
-                  makes tables and figures differ between re-runs. Deterministic crates must use \
-                  BTreeMap/BTreeSet (or a Vec plus an explicit sort). Sched-scope crates \
-                  (exec, telemetry, bench) are exempt because their maps never feed artifact \
-                  bytes.",
-        check: Some(check_d001),
-    },
-    Rule {
-        id: "D002",
-        severity: Severity::Error,
-        summary: "no wall clocks outside Sched-scope crates",
-        explain: "Instant::now and SystemTime::now read the host clock, so any value derived \
-                  from them differs per run. Simulation code must use the simulated clock \
-                  (now_ms) exclusively. Wall clocks are allowed only in mm-bench (timing is its \
-                  job), mm-exec (scheduler stats), and mm-telemetry (span wall-clock shims), \
-                  where readings stay in the Sched scope that determinism checks exclude.",
-        check: Some(check_d002),
-    },
-    Rule {
-        id: "D003",
-        severity: Severity::Error,
-        summary: "no thread spawning outside crates/exec",
-        explain: "All parallelism flows through the mm-exec scatter/gather executor, whose \
-                  ordered gather is what makes parallel output byte-identical to sequential. \
-                  A raw std::thread::spawn (or scope().spawn) elsewhere bypasses MM_THREADS, \
-                  per-task RNG seeding, and the determinism contract.",
-        check: Some(check_d003),
-    },
-    Rule {
-        id: "D004",
-        severity: Severity::Error,
-        summary: "no process::exit outside the mmx/mmq/mmqd binaries",
-        explain: "Library code must report failures as MmError (exit code 2 for usage, 3 for \
-                  runtime) and let the mmx/mmq/mmqd binaries translate at the process \
-                  boundary. A process::exit in a library skips destructors — telemetry \
-                  flushes, export file closes — and hides the error path from tests.",
-        check: Some(check_d004),
-    },
-    Rule {
         id: "A001",
         severity: Severity::Error,
-        summary: "Relaxed atomics and unsafe blocks need justification comments",
+        summary: "Relaxed atomics need a justification comment",
         explain: "Every Ordering::Relaxed on a cross-thread atomic needs a `relaxed-ok:` \
                   comment on the same line or in the contiguous comment block above saying \
-                  why the weak ordering cannot corrupt a deterministic value, and every \
-                  `unsafe` needs a `SAFETY:` comment stating the invariant that makes it \
-                  sound. The comment is the review artifact; its absence is the lint.",
+                  why the weak ordering cannot corrupt a deterministic value. The comment is \
+                  the review artifact; its absence is the lint. (`unsafe` needs no comment \
+                  rule: the workspace forbids it outright through [workspace.lints].)",
         check: Some(check_a001),
     },
     Rule {
@@ -92,18 +55,6 @@ pub const RULES: &[Rule] = &[
                   build.rs file all break that hermeticity. Manifest findings cannot be \
                   suppressed.",
         check: None,
-    },
-    Rule {
-        id: "E001",
-        severity: Severity::Error,
-        summary: "no unwrap()/expect() in library code",
-        explain: "A panic in a library crate tears down a whole campaign mid-flight. Fallible \
-                  paths must return MmError (or restructure so the failure cannot exist: \
-                  f64::total_cmp instead of partial_cmp().expect, let-else instead of \
-                  Option::unwrap). Test modules, integration tests, benches, examples, and \
-                  binaries may unwrap freely. True invariants may be suppressed with an \
-                  mm-allow comment that states the invariant.",
-        check: Some(check_e001),
     },
     Rule {
         id: "R001",
@@ -161,9 +112,9 @@ pub const RULES: &[Rule] = &[
         explain: "panic!/unreachable!/todo!/unimplemented! in a library fn on a call path \
                   from the mmx/mmq/mmlint entry points can tear down a multi-hour campaign \
                   on an edge case. Restructure so the case cannot exist (if-let, exhaustive \
-                  match, Option returns) or return MmError. This is E001's philosophy made \
-                  call-graph-aware: binaries and dead code may panic, reachable library \
-                  code may not.",
+                  match, Option returns) or return MmError. This is the library-root \
+                  `clippy::unwrap_used`/`expect_used` denial made call-graph-aware: \
+                  binaries and dead code may panic, reachable library code may not.",
         check: None,
     },
     Rule {
@@ -229,115 +180,9 @@ fn push(
     });
 }
 
-/// Do the token texts starting at `i` match `pat` exactly?
-fn seq_matches(ctx: &FileCtx, i: usize, pat: &[&str]) -> bool {
-    let toks = &ctx.lexed.toks;
-    pat.iter()
-        .enumerate()
-        .all(|(k, want)| toks.get(i + k).is_some_and(|t| t.text == *want))
-}
-
 /// Does production (non-test) code at this line concern the rule at all?
 fn production_code(ctx: &FileCtx, line: u32, kinds: &[FileKind]) -> bool {
     kinds.contains(&ctx.kind) && !ctx.in_test(line)
-}
-
-fn check_d001(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if ctx.scope != Scope::Deterministic {
-        return;
-    }
-    for t in &ctx.lexed.toks {
-        if (t.text == "HashMap" || t.text == "HashSet")
-            && production_code(ctx, t.line, &[FileKind::Lib, FileKind::Bin])
-        {
-            push(
-                diags,
-                "D001",
-                ctx,
-                t.line,
-                format!(
-                    "{} in deterministic crate `{}`: iteration order is per-process random; \
-                     use BTreeMap/BTreeSet or sort explicitly",
-                    t.text, ctx.crate_name
-                ),
-            );
-        }
-    }
-}
-
-fn check_d002(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if ctx.scope != Scope::Deterministic {
-        return;
-    }
-    let toks = &ctx.lexed.toks;
-    for (i, tok) in toks.iter().enumerate() {
-        for clock in ["Instant", "SystemTime"] {
-            if tok.text == clock
-                && seq_matches(ctx, i, &[clock, ":", ":", "now"])
-                && production_code(ctx, tok.line, &[FileKind::Lib, FileKind::Bin])
-            {
-                push(
-                    diags,
-                    "D002",
-                    ctx,
-                    tok.line,
-                    format!(
-                        "{clock}::now in deterministic crate `{}`: simulation code must use \
-                         the simulated clock, wall time lives in Sched-scope crates only",
-                        ctx.crate_name
-                    ),
-                );
-            }
-        }
-    }
-}
-
-fn check_d003(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if ctx.crate_name == "exec" {
-        return;
-    }
-    let toks = &ctx.lexed.toks;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.text == "spawn"
-            && toks.get(i + 1).is_some_and(|t| t.text == "(")
-            && production_code(ctx, tok.line, &[FileKind::Lib, FileKind::Bin])
-        {
-            push(
-                diags,
-                "D003",
-                ctx,
-                tok.line,
-                "thread spawn outside crates/exec: route parallelism through the mm-exec \
-                 executor so MM_THREADS and the determinism contract hold"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-fn check_d004(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    if ctx.path.ends_with("src/bin/mmx.rs")
-        || ctx.path.ends_with("src/bin/mmq.rs")
-        || ctx.path.ends_with("src/bin/mmqd.rs")
-    {
-        return;
-    }
-    let toks = &ctx.lexed.toks;
-    for (i, tok) in toks.iter().enumerate() {
-        if seq_matches(ctx, i, &["process", ":", ":", "exit"])
-            && production_code(ctx, tok.line, &[FileKind::Lib, FileKind::Bin])
-        {
-            push(
-                diags,
-                "D004",
-                ctx,
-                tok.line,
-                "process::exit outside the mmx/mmq/mmqd binaries: return MmError and let \
-                 the CLI map it to an exit code (2 usage / 3 runtime)"
-                    .to_string(),
-            );
-        }
-    }
 }
 
 fn check_a001(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
@@ -348,10 +193,10 @@ fn check_a001(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
         FileKind::Example,
     ];
     for t in &ctx.lexed.toks {
-        if !production_code(ctx, t.line, &kinds) {
-            continue;
-        }
-        if t.text == "Relaxed" && !ctx.nearby_comment_contains(t.line, "relaxed-ok:") {
+        if t.text == "Relaxed"
+            && production_code(ctx, t.line, &kinds)
+            && !ctx.nearby_comment_contains(t.line, "relaxed-ok:")
+        {
             push(
                 diags,
                 "A001",
@@ -359,47 +204,6 @@ fn check_a001(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
                 t.line,
                 "Ordering::Relaxed without a `relaxed-ok:` comment on this line or in the \
                  comment block above justifying the weak ordering"
-                    .to_string(),
-            );
-        }
-        if t.text == "unsafe" && !ctx.nearby_comment_contains(t.line, "SAFETY:") {
-            push(
-                diags,
-                "A001",
-                ctx,
-                t.line,
-                "unsafe without a `SAFETY:` comment on this line or in the comment block \
-                 above stating the soundness invariant"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-fn check_e001(ctx: &FileCtx, diags: &mut Vec<Diagnostic>) {
-    let toks = &ctx.lexed.toks;
-    for (i, tok) in toks.iter().enumerate() {
-        if !production_code(ctx, tok.line, &[FileKind::Lib]) {
-            continue;
-        }
-        if seq_matches(ctx, i, &[".", "unwrap", "(", ")"]) {
-            push(
-                diags,
-                "E001",
-                ctx,
-                tok.line,
-                "unwrap() in library code: return MmError, restructure with let-else, or \
-                 justify the invariant with a suppression"
-                    .to_string(),
-            );
-        } else if seq_matches(ctx, i, &[".", "expect", "("]) {
-            push(
-                diags,
-                "E001",
-                ctx,
-                tok.line,
-                "expect() in library code: return MmError, restructure (e.g. f64::total_cmp \
-                 for NaN-free comparisons), or justify the invariant with a suppression"
                     .to_string(),
             );
         }
@@ -664,7 +468,7 @@ mod tests {
                 assert_ne!(r.id, other.id);
             }
         }
-        assert!(rule_by_id("D001").is_some());
+        assert!(rule_by_id("A001").is_some());
         assert!(rule_by_id("Q999").is_none());
     }
 

@@ -10,8 +10,3 @@ pub fn bump_wrapped(counter: &AtomicU64) -> u64 {
     // second comment line and must still be found by the block walk
     counter.fetch_add(1, Ordering::Relaxed)
 }
-
-pub fn reinterpret(x: u32) -> i32 {
-    // SAFETY: every u32 bit pattern is a valid i32
-    unsafe { std::mem::transmute::<u32, i32>(x) }
-}

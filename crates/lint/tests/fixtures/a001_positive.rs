@@ -3,7 +3,3 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub fn bump(counter: &AtomicU64) -> u64 {
     counter.fetch_add(1, Ordering::Relaxed)
 }
-
-pub fn reinterpret(x: u32) -> i32 {
-    unsafe { std::mem::transmute::<u32, i32>(x) }
-}

@@ -1,8 +1,14 @@
-// mm-allow(D001): scratch map drained into a sorted Vec before any output
+#[expect(
+    clippy::disallowed_types,
+    reason = "scratch map drained into a sorted Vec before any output"
+)]
 use std::collections::HashMap;
 
 pub fn histogram(xs: &[u32]) -> Vec<(u32, u32)> {
-    // mm-allow(D001): scratch map drained into a sorted Vec before any output
+    #[expect(
+        clippy::disallowed_types,
+        reason = "scratch map drained into a sorted Vec before any output"
+    )]
     let mut counts: HashMap<u32, u32> = HashMap::new();
     for &x in xs {
         *counts.entry(x).or_insert(0) += 1;

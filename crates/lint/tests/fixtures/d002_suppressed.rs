@@ -1,6 +1,9 @@
 use std::time::Instant;
 
 pub fn stamp() -> Instant {
-    // mm-allow(D002): debug-only probe, value never reaches artifact bytes
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "debug-only probe, value never reaches artifact bytes"
+    )]
     Instant::now()
 }

@@ -1,5 +1,8 @@
 pub fn fan_out() {
-    // mm-allow(D003): detached watchdog thread, output never observed
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "detached watchdog thread, output never observed"
+    )]
     let handle = std::thread::spawn(|| 42);
     let _ = handle.join();
 }

@@ -1,5 +1,8 @@
 pub fn bail(msg: &str) -> ! {
     eprintln!("{msg}");
-    // mm-allow(D004): fatal-signal shim, no destructors can be live here
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fatal-signal shim, no destructors can be live here"
+    )]
     std::process::exit(3)
 }

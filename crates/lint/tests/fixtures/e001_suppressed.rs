@@ -1,5 +1,5 @@
 pub fn first(xs: &[u32]) -> u32 {
     assert!(!xs.is_empty());
-    // mm-allow(E001): asserted non-empty one line up
+    #[expect(clippy::unwrap_used, reason = "asserted non-empty one line up")]
     xs.first().copied().unwrap()
 }

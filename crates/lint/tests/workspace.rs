@@ -2,7 +2,7 @@
 //! `--json` output must survive the strict in-tree parser.
 
 use mm_json::{Json, ToJson};
-use mm_lint::{analyze_workspace, analyze_workspace_with, LintOptions};
+use mm_lint::analyze_workspace;
 use std::path::Path;
 use std::process::Command;
 
@@ -17,7 +17,7 @@ fn workspace_root() -> &'static Path {
 
 #[test]
 fn workspace_is_lint_clean() {
-    let report = analyze_workspace(workspace_root()).expect("workspace walk");
+    let report = analyze_workspace(workspace_root(), false).expect("workspace walk");
     assert!(
         report.is_clean(),
         "the workspace must lint clean; diagnostics:\n{}",
@@ -39,11 +39,10 @@ fn workspace_is_lint_clean() {
 
 #[test]
 fn report_json_matches_binary_json_output() {
-    let report = analyze_workspace(workspace_root()).expect("workspace walk");
+    let report = analyze_workspace(workspace_root(), false).expect("workspace walk");
     let out = Command::new(env!("CARGO_BIN_EXE_mmlint"))
         .arg("--root")
         .arg(workspace_root())
-        .arg("--no-cache")
         .arg("--json")
         .output()
         .expect("run mmlint");
@@ -54,12 +53,11 @@ fn report_json_matches_binary_json_output() {
     );
     let text = String::from_utf8(out.stdout).expect("utf-8 stdout");
     // The strict parser accepts the binary's bytes and they equal the
-    // library's serialization of the same analysis (both uncached).
+    // library's serialization of the same analysis.
     let parsed = Json::parse(text.trim()).expect("strict parse of --json output");
     assert_eq!(parsed, report.to_json());
     assert_eq!(parsed.get("version").and_then(Json::as_u64), Some(2));
     assert_eq!(parsed.get("errors").and_then(Json::as_u64), Some(0));
-    assert_eq!(parsed.get("cache_hits").and_then(Json::as_u64), Some(0));
     let diags = parsed
         .get("diagnostics")
         .and_then(Json::as_array)
@@ -82,11 +80,7 @@ fn report_json_matches_binary_json_output() {
 fn workspace_survives_the_strict_suppression_audit() {
     // Under --strict-suppress a stale mm-allow anywhere fails the gate;
     // the shipped workspace must have none.
-    let opts = LintOptions {
-        cache_dir: None,
-        strict_suppress: true,
-    };
-    let report = analyze_workspace_with(workspace_root(), &opts).expect("workspace walk");
+    let report = analyze_workspace(workspace_root(), true).expect("workspace walk");
     assert!(
         report.is_clean(),
         "stale suppressions:\n{}",
@@ -98,43 +92,6 @@ fn workspace_survives_the_strict_suppression_audit() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-#[test]
-fn warm_cache_hits_every_file_and_changes_nothing() {
-    let dir = std::env::temp_dir().join(format!("mmlint-warm-{}", std::process::id()));
-    let opts = LintOptions {
-        cache_dir: Some(dir.clone()),
-        strict_suppress: false,
-    };
-    let cold = analyze_workspace_with(workspace_root(), &opts).expect("cold run");
-    assert_eq!(cold.cache_hits, 0, "cold run must analyze everything");
-    let warm = analyze_workspace_with(workspace_root(), &opts).expect("warm run");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        warm.cache_hits, warm.files_scanned,
-        "warm run must serve every file analysis from cache"
-    );
-    // Identical analysis, cold or warm.
-    assert_eq!(cold.diagnostics, warm.diagnostics);
-    assert_eq!(cold.files_scanned, warm.files_scanned);
-}
-
-#[test]
-fn json_output_is_byte_identical_across_thread_counts() {
-    let run = |threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_mmlint"))
-            .arg("--root")
-            .arg(workspace_root())
-            .arg("--no-cache")
-            .arg("--json")
-            .env("MM_THREADS", threads)
-            .output()
-            .expect("run mmlint");
-        assert!(out.status.success(), "MM_THREADS={threads} run failed");
-        out.stdout
-    };
-    assert_eq!(run("1"), run("8"), "stdout must not depend on MM_THREADS");
 }
 
 #[test]
@@ -186,27 +143,60 @@ fn nested_cargo_workspaces_are_not_linted() {
     // linted workspace; a plain subdirectory still is.
     let root = std::env::temp_dir().join(format!("mmlint-nested-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    let wall_clock = "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n";
+    let entropy = "pub fn rng() -> SmallRng {\n    SmallRng::from_entropy()\n}\n";
     let files = [
         ("Cargo.toml", "[workspace]\n"),
         (
             "nested/Cargo.toml",
             "[package]\nname = \"nested\"\n\n[workspace]\n",
         ),
-        ("nested/src/lib.rs", wall_clock),
-        ("plain/src/lib.rs", wall_clock),
+        ("nested/src/lib.rs", entropy),
+        ("plain/src/lib.rs", entropy),
     ];
     for (rel, text) in files {
         let path = root.join(rel);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(path, text).unwrap();
     }
-    let report = analyze_workspace(&root).expect("temp workspace walk");
+    let report = analyze_workspace(&root, false).expect("temp workspace walk");
     let _ = std::fs::remove_dir_all(&root);
     let found: Vec<(&str, &str)> = report
         .diagnostics
         .iter()
         .map(|d| (d.rule, d.file.as_str()))
         .collect();
-    assert_eq!(found, [("D002", "plain/src/lib.rs")]);
+    assert_eq!(found, [("R001", "plain/src/lib.rs")]);
+}
+
+#[test]
+fn root_found_from_a_workspace_package_table_alone() {
+    // With no --root, mmlint walks up from the cwd to the first manifest
+    // that declares a workspace — `[workspace.package]` counts, exactly
+    // as it does for the walker's nested-workspace skip.
+    let root = std::env::temp_dir().join(format!("mmlint-root-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("src")).unwrap();
+    std::fs::write(
+        root.join("Cargo.toml"),
+        "[package]\nname = \"solo\"\nversion.workspace = true\n\n\
+         [workspace.package]\nversion = \"0.1.0\"\n",
+    )
+    .unwrap();
+    std::fs::write(root.join("src/lib.rs"), "pub fn f() {}\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_mmlint"))
+        .current_dir(root.join("src"))
+        .output()
+        .expect("run mmlint");
+    let _ = std::fs::remove_dir_all(&root);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("mmlint: clean — 1 files + 1 manifests"),
+        "{stdout}"
+    );
 }

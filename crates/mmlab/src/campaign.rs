@@ -274,9 +274,12 @@ pub fn run_campaigns_stats(
     let (results, shard_stats) = {
         let _stage = reg.span("campaign", "drives");
         exec.scatter_gather_stats(shards, |_, (p, runs)| {
+            #[expect(
+                clippy::expect_used,
+                reason = "the shard list is filtered to indices where networks[p].is_some()"
+            )]
             let network = networks[p]
                 .as_ref()
-                // mm-allow(E001): the shard list is filtered to indices where networks[p].is_some()
                 .expect("shards scattered for built networks only");
             let (carrier, city) = pairs[p];
             campaign_shard(network, carrier, city, runs, cfg)

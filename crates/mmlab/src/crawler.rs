@@ -204,12 +204,18 @@ fn observe_lte(world: &World, cell: &GeneratedCell, round: u32, out: &mut Vec<Co
     let decoded: Vec<_> = mmsignaling::messages::broadcast(&cfg)
         .iter()
         .map(|m| {
+            #[expect(
+                clippy::expect_used,
+                reason = "decoding bytes this crawler just encoded; a failure is a codec bug worth a loud panic"
+            )]
             mmsignaling::messages::RrcMessage::decode(&m.encode())
-                // mm-allow(E001): decoding bytes this crawler just encoded; a failure is a codec bug worth a loud panic
                 .expect("self-produced SIBs decode")
         })
         .collect();
-    // mm-allow(E001): reassembling the complete SIB set produced three lines up
+    #[expect(
+        clippy::expect_used,
+        reason = "reassembling the complete SIB set produced three lines up"
+    )]
     let rebuilt = mmsignaling::messages::assemble(&decoded).expect("complete SIB set");
     extract_samples(cell, &rebuilt, round, out);
 }
@@ -290,7 +296,10 @@ pub fn crawl_with_stats(
     for mut shard in shard_samples {
         samples.append(&mut shard);
     }
-    // mm-allow(E001): crawler values come from the calibrated profile tables (all finite half-grid quantities) — a violation is a profile bug, not a runtime condition
+    #[expect(
+        clippy::expect_used,
+        reason = "crawler values come from the calibrated profile tables (all finite half-grid quantities) — a violation is a profile bug, not a runtime condition"
+    )]
     let d2 = D2::try_from_samples(samples).expect("crawler emitted an off-contract value");
     (d2, stats)
 }

@@ -18,7 +18,7 @@
 //! opaque mm-json documents, and the engine-side codec lives next to
 //! `QueryEngine`.
 
-#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod frame;
 pub mod proto;
@@ -103,6 +103,10 @@ mod tests {
         let addr = acceptor.local_addr().to_string();
 
         let server_queue = Arc::clone(&queue);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test plays the mmqd worker that drains the accept queue"
+        )]
         let server = std::thread::spawn(move || {
             while let Some(conn) = server_queue.pop() {
                 let mut reader = BufReader::new(conn.try_clone().unwrap());

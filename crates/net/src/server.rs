@@ -48,7 +48,10 @@ impl ConnQueue {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        // mm-allow(E001): a poisoned queue mutex means a worker already panicked; propagate
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned queue mutex means a worker already panicked; propagate"
+        )]
         self.state.lock().expect("connection queue poisoned")
     }
 
@@ -56,8 +59,11 @@ impl ConnQueue {
     /// (the connection is dropped and the accept loop should exit).
     pub fn push(&self, conn: TcpStream) -> bool {
         let mut st = self.lock();
+        #[expect(
+            clippy::expect_used,
+            reason = "condvar wait only fails on a poisoned mutex; propagate the panic"
+        )]
         while st.conns.len() >= self.cap && !st.closed {
-            // mm-allow(E001): condvar wait only fails on a poisoned mutex; propagate the panic
             st = self.cv.wait(st).expect("connection queue poisoned");
         }
         if st.closed {
@@ -72,6 +78,10 @@ impl ConnQueue {
     /// the queue is closed and drained.
     pub fn pop(&self) -> Option<TcpStream> {
         let mut st = self.lock();
+        #[expect(
+            clippy::expect_used,
+            reason = "condvar wait only fails on a poisoned mutex; propagate the panic"
+        )]
         loop {
             if let Some(conn) = st.conns.pop_front() {
                 self.cv.notify_all();
@@ -80,7 +90,6 @@ impl ConnQueue {
             if st.closed {
                 return None;
             }
-            // mm-allow(E001): condvar wait only fails on a poisoned mutex; propagate the panic
             st = self.cv.wait(st).expect("connection queue poisoned");
         }
     }
@@ -130,12 +139,15 @@ pub fn spawn_acceptor(listener: TcpListener, queue: Arc<ConnQueue>) -> Result<Ac
     let addr = listener
         .local_addr()
         .map_err(|e| NetError::Io(e.to_string()))?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "accept() must block on its own thread; it never touches sim state"
+    )]
     let handle = std::thread::Builder::new()
         .name("mmqd-accept".to_string())
         // The accept loop does no simulation work; MM_THREADS governs the
         // mm-exec worker pool that renders answers, not this single control
         // thread (DESIGN.md §14).
-        // mm-allow(D003): accept() must block on its own thread; it never touches sim state
         .spawn(move || {
             loop {
                 match listener.accept() {

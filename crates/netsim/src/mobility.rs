@@ -128,7 +128,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "the test pins the paper's published speed constants to their stated bands"
+    )]
     fn paper_speed_constants_are_in_the_stated_bands() {
         assert!(CITY_SPEED_MPS * 3.6 < 50.0);
         let kmh = HIGHWAY_SPEED_MPS * 3.6;

@@ -280,10 +280,8 @@ pub fn run_full(network: &Network, cfgs: &[DriveConfig]) -> Vec<Option<DriveResu
         .ues
         .into_iter()
         .map(|ue| {
-            let run = ue?
-                .into_full()
-                // mm-allow(E001): Engine::new collects CollectMode::Full
-                .expect("full collection mode");
+            #[expect(clippy::expect_used, reason = "Engine::new collects CollectMode::Full")]
+            let run = ue?.into_full().expect("full collection mode");
             run.record_telemetry();
             Some(run.result)
         })
@@ -378,11 +376,14 @@ impl UeState {
     }
 
     fn serving(&self) -> CellId {
+        #[expect(
+            clippy::expect_used,
+            reason = "attach populates exactly one of connected/idle"
+        )]
         self.connected
             .as_ref()
             .map(|u| u.serving())
             .or_else(|| self.idle.as_ref().map(|u| u.serving()))
-            // mm-allow(E001): attach populates exactly one of connected/idle
             .expect("one mode is active")
     }
 
@@ -509,10 +510,13 @@ impl<'n> Engine<'n> {
             // drops any pending command, and re-establishes on the
             // strongest cell after an outage.
             if t >= st.interruption_until {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the serving cell was handed off from this same deployment"
+                )]
                 let serving_at = network
                     .deployment
                     .index_of(ue.serving())
-                    // mm-allow(E001): the serving cell was handed off from this same deployment
                     .expect("serving deployed");
                 let sinr = network.deployment.sinr_in(serving_at, &st.survey);
                 if sinr.0 < network.policy.rlf_qout_sinr_db {
@@ -683,20 +687,20 @@ impl<'n> Engine<'n> {
     /// Data-plane tick of one epoch (active UEs; uses post-handoff serving).
     fn traffic(&self, cfg: &DriveConfig, st: &mut UeState, t: u64) {
         let network = self.network;
-        let serving = st
-            .connected
-            .as_ref()
-            // mm-allow(E001): Traffic events are only scheduled for active UEs
-            .expect("active mode")
-            .serving();
+        #[expect(
+            clippy::expect_used,
+            reason = "Traffic events are only scheduled for active UEs"
+        )]
+        let serving = st.connected.as_ref().expect("active mode").serving();
         let in_interruption = t < st.interruption_until;
         // The serving link this epoch: its model, load and SINR.
         let link = (!in_interruption).then(|| {
             let deployment = &network.deployment;
-            let at = deployment
-                .index_of(serving)
-                // mm-allow(E001): the serving cell was handed off from this same deployment
-                .expect("serving deployed");
+            #[expect(
+                clippy::expect_used,
+                reason = "the serving cell was handed off from this same deployment"
+            )]
+            let at = deployment.index_of(serving).expect("serving deployed");
             let cell = &deployment.cells()[at];
             (
                 LinkModel::for_rat(cell.rat()),

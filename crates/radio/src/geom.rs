@@ -65,7 +65,10 @@ impl Route {
 
     /// Total length in meters.
     pub fn length(&self) -> f64 {
-        // mm-allow(E001): Route::new rejects fewer than two waypoints
+        #[expect(
+            clippy::expect_used,
+            reason = "Route::new rejects fewer than two waypoints"
+        )]
         *self.cumlen.last().expect("non-empty")
     }
 

@@ -20,6 +20,8 @@
 //! step function is additionally verified against the published reference
 //! test vector, so the stream matches any conforming implementation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod xoshiro;
 
 pub use xoshiro::Xoshiro256pp;
@@ -315,9 +317,10 @@ impl LatticeSquare {
 }
 
 /// Acklam's inverse normal CDF approximation.
-// The coefficients are quoted exactly as published, including digits beyond
-// f64 round-trip precision.
-#[allow(clippy::excessive_precision)]
+#[allow(
+    clippy::excessive_precision,
+    reason = "Acklam's coefficients are quoted exactly as published, including digits beyond f64 round-trip precision"
+)]
 pub fn inverse_normal_cdf(p: f64) -> f64 {
     const A: [f64; 6] = [
         -3.969683028665376e+01,

@@ -1,3 +1,4 @@
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 //! # mm-telemetry — structured metrics and span tracing
 //!
@@ -178,7 +179,10 @@ pub struct Registry {
 impl Registry {
     /// Lock the section table, propagating a poisoned-mutex panic.
     fn locked(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, SectionData>> {
-        // mm-allow(E001): a poisoned mutex means another thread panicked mid-update; propagating is the only sound option
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned mutex means another thread panicked mid-update; propagating is the only sound option"
+        )]
         self.sections.lock().expect("telemetry registry poisoned")
     }
 
@@ -417,6 +421,10 @@ mod tests {
         std::thread::scope(|scope| {
             for chunk in values.chunks(100).rev() {
                 let h2 = h2.clone();
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the test races real threads on one histogram to prove the merge is order-free"
+                )]
                 scope.spawn(move || {
                     for &v in chunk {
                         h2.record(v);

@@ -173,6 +173,10 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let reg = &reg;
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the test races real threads on one registry to prove the merge is order-free"
+                )]
                 scope.spawn(move || {
                     for _ in 0..5 {
                         let _root = reg.span("sec", "task");

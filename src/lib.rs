@@ -52,6 +52,8 @@
 //! assert_eq!(result.handoffs[0].event_label(), "A3");
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub use mm_exec;
 pub use mmcarriers;
 pub use mmcore;
