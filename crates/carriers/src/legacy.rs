@@ -8,10 +8,9 @@
 //! richness and skew depend on the RAT's diversity class.
 
 use crate::dist::Categorical;
-use mm_rng::Rng;
+use mm_rng::{stream_rng, sub_seed3, Rng};
 use mmcore::params::{params_for, ParamSpec};
 use mmradio::band::Rat;
-use mmradio::rng::{stream_rng, sub_seed3};
 
 /// How diverse a RAT's configuration practice is (Fig 22).
 #[derive(Debug, Clone, Copy, PartialEq)]

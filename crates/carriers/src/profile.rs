@@ -9,14 +9,13 @@
 //! profile is deterministic in `(world seed, carrier, cell id, position)`.
 
 use crate::dist::Categorical;
-use mm_rng::Rng;
+use mm_rng::{stream_rng, sub_seed, sub_seed3, Rng};
 use mmcore::config::{CellConfig, NeighborFreqConfig, Quantity};
 use mmcore::events::{EventKind, ReportConfig};
 use mmcore::kernel::sum_f64;
 use mmradio::band::{ChannelNumber, Rat};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
-use mmradio::rng::{stream_rng, sub_seed, sub_seed3};
 
 /// Which decisive reporting policy a cell is configured with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

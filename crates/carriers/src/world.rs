@@ -10,12 +10,11 @@ use crate::builtin;
 use crate::city::City;
 use crate::legacy;
 use crate::profile::CarrierProfile;
-use mm_rng::Rng;
+use mm_rng::{stream_rng, sub_seed, Rng};
 use mmcore::config::CellConfig;
 use mmradio::band::{ChannelNumber, Rat};
 use mmradio::cell::CellId;
 use mmradio::geom::Point;
-use mmradio::rng::{stream_rng, sub_seed};
 use std::collections::BTreeMap;
 
 /// The five US cities of the paper's city-level analysis (Fig 20), with

@@ -6,11 +6,10 @@
 //! the exported datasets byte-compatible with what the serde-based exporter
 //! produced.
 
-use crate::config::{CellConfig, NeighborFreqConfig, Quantity, ServingConfig};
-use crate::events::{EventKind, MeasurementReportContent, ReportConfig};
+use crate::config::Quantity;
+use crate::events::{EventKind, ReportConfig};
 use crate::reselect::PriorityRelation;
-use mm_json::{FromJson, Json, JsonError, ToJson};
-use mmradio::cell::CellId;
+use mm_json::{Json, ToJson};
 
 impl ToJson for Quantity {
     fn to_json(&self) -> Json {
@@ -21,16 +20,6 @@ impl ToJson for Quantity {
             }
             .to_string(),
         )
-    }
-}
-
-impl FromJson for Quantity {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("Rsrp") => Ok(Quantity::Rsrp),
-            Some("Rsrq") => Ok(Quantity::Rsrq),
-            _ => Err(JsonError::new("expected \"Rsrp\" or \"Rsrq\"")),
-        }
     }
 }
 
@@ -45,18 +34,6 @@ impl ToJson for PriorityRelation {
             }
             .to_string(),
         )
-    }
-}
-
-impl FromJson for PriorityRelation {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("IntraFreq") => Ok(PriorityRelation::IntraFreq),
-            Some("NonIntraHigher") => Ok(PriorityRelation::NonIntraHigher),
-            Some("NonIntraEqual") => Ok(PriorityRelation::NonIntraEqual),
-            Some("NonIntraLower") => Ok(PriorityRelation::NonIntraLower),
-            _ => Err(JsonError::new("expected a PriorityRelation variant name")),
-        }
     }
 }
 
@@ -105,50 +82,6 @@ impl ToJson for EventKind {
     }
 }
 
-impl FromJson for EventKind {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if v.as_str() == Some("Periodic") {
-            return Ok(EventKind::Periodic);
-        }
-        let members = v
-            .as_object()
-            .ok_or_else(|| JsonError::new("expected an EventKind variant"))?;
-        let (name, body) = members
-            .first()
-            .ok_or_else(|| JsonError::new("empty EventKind object"))?;
-        let th = |key: &str| f64::from_json(&body[key]);
-        Ok(match name.as_str() {
-            "A1" => EventKind::A1 {
-                threshold: th("threshold")?,
-            },
-            "A2" => EventKind::A2 {
-                threshold: th("threshold")?,
-            },
-            "A3" => EventKind::A3 {
-                offset_db: th("offset_db")?,
-            },
-            "A4" => EventKind::A4 {
-                threshold: th("threshold")?,
-            },
-            "A5" => EventKind::A5 {
-                threshold1: th("threshold1")?,
-                threshold2: th("threshold2")?,
-            },
-            "A6" => EventKind::A6 {
-                offset_db: th("offset_db")?,
-            },
-            "B1" => EventKind::B1 {
-                threshold: th("threshold")?,
-            },
-            "B2" => EventKind::B2 {
-                threshold1: th("threshold1")?,
-                threshold2: th("threshold2")?,
-            },
-            other => return Err(JsonError::new(format!("unknown EventKind variant {other}"))),
-        })
-    }
-}
-
 impl ToJson for ReportConfig {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -162,176 +95,55 @@ impl ToJson for ReportConfig {
     }
 }
 
-impl FromJson for ReportConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ReportConfig {
-            event: EventKind::from_json(&v["event"])?,
-            quantity: Quantity::from_json(&v["quantity"])?,
-            hysteresis_db: f64::from_json(&v["hysteresis_db"])?,
-            time_to_trigger_ms: u32::from_json(&v["time_to_trigger_ms"])?,
-            report_interval_ms: u32::from_json(&v["report_interval_ms"])?,
-            report_amount: u8::from_json(&v["report_amount"])?,
-        })
-    }
-}
-
-impl ToJson for MeasurementReportContent {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("event", self.event.to_json()),
-            ("quantity", self.quantity.to_json()),
-            ("serving_value", self.serving_value.to_json()),
-            ("cells", self.cells.to_json()),
-            ("trigger_cell", self.trigger_cell.to_json()),
-            ("sequence", self.sequence.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MeasurementReportContent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(MeasurementReportContent {
-            event: EventKind::from_json(&v["event"])?,
-            quantity: Quantity::from_json(&v["quantity"])?,
-            serving_value: f64::from_json(&v["serving_value"])?,
-            cells: Vec::<(CellId, f64)>::from_json(&v["cells"])?,
-            trigger_cell: Option::<CellId>::from_json(&v["trigger_cell"])?,
-            sequence: u32::from_json(&v["sequence"])?,
-        })
-    }
-}
-
-impl ToJson for ServingConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("priority", self.priority.to_json()),
-            ("q_hyst_db", self.q_hyst_db.to_json()),
-            ("q_rxlevmin_dbm", self.q_rxlevmin_dbm.to_json()),
-            ("q_qualmin_db", self.q_qualmin_db.to_json()),
-            ("s_intra_search_db", self.s_intra_search_db.to_json()),
-            ("s_nonintra_search_db", self.s_nonintra_search_db.to_json()),
-            (
-                "thresh_serving_low_db",
-                self.thresh_serving_low_db.to_json(),
-            ),
-            ("t_reselection_s", self.t_reselection_s.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServingConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ServingConfig {
-            priority: u8::from_json(&v["priority"])?,
-            q_hyst_db: f64::from_json(&v["q_hyst_db"])?,
-            q_rxlevmin_dbm: f64::from_json(&v["q_rxlevmin_dbm"])?,
-            q_qualmin_db: f64::from_json(&v["q_qualmin_db"])?,
-            s_intra_search_db: f64::from_json(&v["s_intra_search_db"])?,
-            s_nonintra_search_db: f64::from_json(&v["s_nonintra_search_db"])?,
-            thresh_serving_low_db: f64::from_json(&v["thresh_serving_low_db"])?,
-            t_reselection_s: f64::from_json(&v["t_reselection_s"])?,
-        })
-    }
-}
-
-impl ToJson for NeighborFreqConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("channel", self.channel.to_json()),
-            ("priority", self.priority.to_json()),
-            ("thresh_x_high_db", self.thresh_x_high_db.to_json()),
-            ("thresh_x_low_db", self.thresh_x_low_db.to_json()),
-            ("q_rxlevmin_dbm", self.q_rxlevmin_dbm.to_json()),
-            ("q_offset_freq_db", self.q_offset_freq_db.to_json()),
-            ("t_reselection_s", self.t_reselection_s.to_json()),
-            ("meas_bandwidth_prb", self.meas_bandwidth_prb.to_json()),
-        ])
-    }
-}
-
-impl FromJson for NeighborFreqConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(NeighborFreqConfig {
-            channel: FromJson::from_json(&v["channel"])?,
-            priority: u8::from_json(&v["priority"])?,
-            thresh_x_high_db: f64::from_json(&v["thresh_x_high_db"])?,
-            thresh_x_low_db: f64::from_json(&v["thresh_x_low_db"])?,
-            q_rxlevmin_dbm: f64::from_json(&v["q_rxlevmin_dbm"])?,
-            q_offset_freq_db: f64::from_json(&v["q_offset_freq_db"])?,
-            t_reselection_s: f64::from_json(&v["t_reselection_s"])?,
-            meas_bandwidth_prb: u8::from_json(&v["meas_bandwidth_prb"])?,
-        })
-    }
-}
-
-impl ToJson for CellConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cell", self.cell.to_json()),
-            ("channel", self.channel.to_json()),
-            ("serving", self.serving.to_json()),
-            ("neighbor_freqs", self.neighbor_freqs.to_json()),
-            ("q_offset_cell_db", self.q_offset_cell_db.to_json()),
-            ("forbidden_cells", self.forbidden_cells.to_json()),
-            ("report_configs", self.report_configs.to_json()),
-            ("s_measure_dbm", self.s_measure_dbm.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CellConfig {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CellConfig {
-            cell: FromJson::from_json(&v["cell"])?,
-            channel: FromJson::from_json(&v["channel"])?,
-            serving: ServingConfig::from_json(&v["serving"])?,
-            neighbor_freqs: Vec::<NeighborFreqConfig>::from_json(&v["neighbor_freqs"])?,
-            q_offset_cell_db: Vec::<(CellId, f64)>::from_json(&v["q_offset_cell_db"])?,
-            forbidden_cells: Vec::<CellId>::from_json(&v["forbidden_cells"])?,
-            report_configs: Vec::<ReportConfig>::from_json(&v["report_configs"])?,
-            s_measure_dbm: Option::<f64>::from_json(&v["s_measure_dbm"])?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The released-dataset schema: every `EventKind` variant's exact text.
     #[test]
-    fn event_kind_shapes_follow_serde_conventions() {
-        assert_eq!(
-            EventKind::A3 { offset_db: 3.0 }.to_json_string(),
-            r#"{"A3":{"offset_db":3}}"#
-        );
-        assert_eq!(EventKind::Periodic.to_json_string(), r#""Periodic""#);
-        let a5 = EventKind::A5 {
-            threshold1: -114.0,
-            threshold2: -110.5,
-        };
-        assert_eq!(EventKind::from_json_str(&a5.to_json_string()).unwrap(), a5);
-    }
-
-    #[test]
-    fn every_event_kind_round_trips() {
-        for e in [
-            EventKind::A1 { threshold: -100.0 },
-            EventKind::A2 { threshold: -110.25 },
-            EventKind::A3 { offset_db: -1.0 },
-            EventKind::A4 { threshold: -102.5 },
-            EventKind::A5 {
-                threshold1: -44.0,
-                threshold2: -114.0,
-            },
-            EventKind::A6 { offset_db: 2.0 },
-            EventKind::B1 { threshold: -100.0 },
-            EventKind::B2 {
-                threshold1: -121.0,
-                threshold2: -87.0,
-            },
-            EventKind::Periodic,
+    fn every_event_kind_serializes_to_its_pinned_text() {
+        for (e, want) in [
+            (
+                EventKind::A1 { threshold: -100.0 },
+                r#"{"A1":{"threshold":-100}}"#,
+            ),
+            (
+                EventKind::A2 { threshold: -110.25 },
+                r#"{"A2":{"threshold":-110.25}}"#,
+            ),
+            (
+                EventKind::A3 { offset_db: -1.0 },
+                r#"{"A3":{"offset_db":-1}}"#,
+            ),
+            (
+                EventKind::A4 { threshold: -102.5 },
+                r#"{"A4":{"threshold":-102.5}}"#,
+            ),
+            (
+                EventKind::A5 {
+                    threshold1: -44.0,
+                    threshold2: -114.0,
+                },
+                r#"{"A5":{"threshold1":-44,"threshold2":-114}}"#,
+            ),
+            (
+                EventKind::A6 { offset_db: 2.0 },
+                r#"{"A6":{"offset_db":2}}"#,
+            ),
+            (
+                EventKind::B1 { threshold: -100.0 },
+                r#"{"B1":{"threshold":-100}}"#,
+            ),
+            (
+                EventKind::B2 {
+                    threshold1: -121.0,
+                    threshold2: -87.0,
+                },
+                r#"{"B2":{"threshold1":-121,"threshold2":-87}}"#,
+            ),
+            (EventKind::Periodic, r#""Periodic""#),
         ] {
-            assert_eq!(EventKind::from_json_str(&e.to_json_string()).unwrap(), e);
+            assert_eq!(e.to_json_string(), want);
         }
     }
 }

@@ -8,22 +8,14 @@
 //! Callers keep their iteration order deterministic (slices, `BTreeMap`
 //! ranges) and the kernel guarantees the accumulation order on top.
 //!
-//! The left fold with a `0.0` start is exactly the `Sum<f64>` behavior of
-//! the standard library, so routing an existing `sum::<f64>()` through
-//! [`sum_f64`] is bit-identical — the golden FNV hashes over every table
-//! do not move.
+//! The left fold with a `+0.0` start matches the standard library's
+//! `Sum<f64>` bit for bit on every input except one made only of `-0.0`
+//! (std starts from `-0.0`), so routing an existing `sum::<f64>()` through
+//! [`sum_f64`] leaves the golden FNV hashes over every table unmoved.
 
 /// Left-fold sum of `xs` in iterator order, starting from `+0.0`.
 pub fn sum_f64(xs: impl IntoIterator<Item = f64>) -> f64 {
     xs.into_iter().fold(0.0, |acc, x| acc + x)
-}
-
-/// Mean of `xs` in iterator order; `0.0` for an empty slice.
-pub fn mean_f64(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    sum_f64(xs.iter().copied()) / xs.len() as f64
 }
 
 #[cfg(test)]
@@ -41,13 +33,5 @@ mod tests {
     #[test]
     fn sum_of_nothing_is_positive_zero() {
         assert_eq!(sum_f64(std::iter::empty()).to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn mean_handles_empty_and_matches_manual() {
-        assert_eq!(mean_f64(&[]), 0.0);
-        let xs = [0.1, 0.2, 0.7];
-        let manual = xs.iter().sum::<f64>() / 3.0;
-        assert_eq!(mean_f64(&xs).to_bits(), manual.to_bits());
     }
 }

@@ -47,7 +47,7 @@
 use mm_json::ToJson;
 use mm_net::{Client, Request, Response};
 use mmexperiments::query::{store_servable, GroupBy, QueryFormat, QueryRequest};
-use mmexperiments::{Artifact, Ctx, MmError, QueryEngine, QueryResult};
+use mmexperiments::{Artifact, Ctx, MetricsSink, MmError, QueryEngine, QueryResult};
 use mmlab::predicate::rat_from_key;
 use mmradio::band::Rat;
 
@@ -75,15 +75,6 @@ fn usage() -> String {
          ho-active/ho-idle: D1 handoff summaries (needs a --save'd store)",
         servable_ids().join(" ")
     )
-}
-
-/// Where the `--metrics` snapshot goes.
-#[derive(Default)]
-enum MetricsSink {
-    #[default]
-    Off,
-    Stderr,
-    File(String),
 }
 
 /// One requested target, before the predicate flags are folded in.
@@ -269,7 +260,6 @@ fn real_main() -> Result<(), MmError> {
             }
             "--connect" => connect = Some(flag_value("--connect", it.next())?),
             "--json" => json = true,
-            "--metrics" => metrics = MetricsSink::Stderr,
             "list" => {
                 for id in servable_ids() {
                     println!("{id}");
@@ -285,8 +275,8 @@ fn real_main() -> Result<(), MmError> {
             "stats" => targets.push(Target::Stats),
             "shutdown" => targets.push(Target::Shutdown),
             other => {
-                if let Some(path) = other.strip_prefix("--metrics=") {
-                    metrics = MetricsSink::File(path.to_string());
+                if let Some(sink) = MetricsSink::from_flag(other) {
+                    metrics = sink;
                 } else if other.starts_with("--") {
                     return Err(MmError::Config(usage()));
                 } else {
@@ -411,18 +401,12 @@ fn real_main() -> Result<(), MmError> {
         let result = engine.run(req)?;
         print_result(req, &result, json);
     }
-    match metrics {
-        MetricsSink::Off => {}
-        MetricsSink::Stderr => {
-            let snapshot = mm_telemetry::global().snapshot().deterministic().to_json();
-            eprintln!("{snapshot}");
-        }
-        MetricsSink::File(path) => {
-            let snapshot = mm_telemetry::global().snapshot().deterministic().to_json();
-            std::fs::write(&path, format!("{snapshot}\n"))?;
-        }
-    }
-    Ok(())
+    metrics.emit(
+        &mm_telemetry::global()
+            .snapshot()
+            .deterministic()
+            .to_json_string(),
+    )
 }
 
 fn main() {

@@ -63,8 +63,8 @@ use mm_exec::Executor;
 use mm_json::ToJson;
 use mmexperiments::store::round_seed;
 use mmexperiments::{
-    run, run_fleet_on, Artifact, Ctx, FleetConfig, MmError, RunBundle, RunStore, ABLATIONS,
-    ARTIFACTS,
+    run, run_fleet_on, Artifact, Ctx, FleetConfig, MetricsSink, MmError, RunBundle, RunStore,
+    ABLATIONS, ARTIFACTS,
 };
 
 fn usage() -> String {
@@ -76,15 +76,6 @@ fn usage() -> String {
         ARTIFACTS.join(" "),
         ABLATIONS.join(" ")
     )
-}
-
-/// Where the `--metrics` snapshot goes.
-#[derive(Default)]
-enum MetricsSink {
-    #[default]
-    Off,
-    Stderr,
-    File(String),
 }
 
 /// How a render interacts with the store.
@@ -175,14 +166,13 @@ impl RawArgs {
                 "--save" => raw.save = true,
                 "--load" => raw.load = true,
                 "--append" => raw.append = true,
-                "--metrics" => raw.metrics = MetricsSink::Stderr,
                 "list" => raw.list = true,
                 "all" => raw.wanted.extend(Artifact::PAPER),
                 "ablations" => raw.wanted.extend(Artifact::ABLATIONS),
                 "crawl" => raw.crawl = true,
                 other => {
-                    if let Some(path) = other.strip_prefix("--metrics=") {
-                        raw.metrics = MetricsSink::File(path.to_string());
+                    if let Some(sink) = MetricsSink::from_flag(other) {
+                        raw.metrics = sink;
                     } else if other.starts_with("--") {
                         return Err(MmError::Config(usage()));
                     } else {
@@ -320,10 +310,9 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
                     v => parse_num("--scale", v)?,
                 }
             }
-            "--metrics" => metrics = MetricsSink::Stderr,
             other => {
-                if let Some(path) = other.strip_prefix("--metrics=") {
-                    metrics = MetricsSink::File(path.to_string());
+                if let Some(sink) = MetricsSink::from_flag(other) {
+                    metrics = sink;
                 } else {
                     return Err(MmError::Config(fleet_usage()));
                 }
@@ -347,26 +336,12 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
         report.stats.max_queue_depth,
     );
     print!("{}", report.render());
-    match metrics {
-        MetricsSink::Off => {}
-        MetricsSink::Stderr => {
-            let json = mm_telemetry::global()
-                .snapshot()
-                .deterministic()
-                .retain_sections(&["fleet", "sched"])
-                .to_json();
-            eprintln!("{json}");
-        }
-        MetricsSink::File(path) => {
-            let json = mm_telemetry::global()
-                .snapshot()
-                .deterministic()
-                .retain_sections(&["fleet", "sched"])
-                .to_json();
-            std::fs::write(&path, format!("{json}\n"))?;
-        }
-    }
-    Ok(())
+    let json = mm_telemetry::global()
+        .snapshot()
+        .deterministic()
+        .retain_sections(&["fleet", "sched"])
+        .to_json_string();
+    metrics.emit(&json)
 }
 
 fn real_main() -> Result<(), MmError> {
@@ -479,14 +454,7 @@ fn real_main() -> Result<(), MmError> {
                 println!("########## {id} ##########");
                 println!("{text}");
             }
-            match raw.metrics {
-                MetricsSink::Off => {}
-                MetricsSink::Stderr => eprintln!("{}", bundle.metrics_json),
-                MetricsSink::File(path) => {
-                    std::fs::write(&path, format!("{}\n", bundle.metrics_json))?
-                }
-            }
-            return Ok(());
+            return raw.metrics.emit(&bundle.metrics_json);
         }
         let hits = s.load_datasets(&ctx)?;
         eprintln!("# mmx: store miss, preloaded {hits}/3 dataset(s)");
@@ -534,38 +502,25 @@ fn real_main() -> Result<(), MmError> {
     if cache == CachePolicy::Save {
         let s = store.as_ref().expect("--save resolved against --store");
         s.save_datasets(ctx)?;
-        let json = mm_telemetry::global()
-            .snapshot()
-            .deterministic()
-            .to_json()
-            .to_string();
         let bundle = RunBundle {
             outputs: outputs
                 .iter()
                 .map(|o| (o.artifact.id().to_string(), o.text.clone()))
                 .collect(),
-            metrics_json: json.clone(),
+            metrics_json: snapshot_json(),
         };
         s.save_run(ctx, &ids, &bundle)?;
-        match raw.metrics {
-            MetricsSink::Off => {}
-            MetricsSink::Stderr => eprintln!("{json}"),
-            MetricsSink::File(path) => std::fs::write(&path, format!("{json}\n"))?,
-        }
-        return Ok(());
+        return raw.metrics.emit(&bundle.metrics_json);
     }
-    match raw.metrics {
-        MetricsSink::Off => {}
-        MetricsSink::Stderr => {
-            let json = mm_telemetry::global().snapshot().deterministic().to_json();
-            eprintln!("{json}");
-        }
-        MetricsSink::File(path) => {
-            let json = mm_telemetry::global().snapshot().deterministic().to_json();
-            std::fs::write(&path, format!("{json}\n"))?;
-        }
-    }
-    Ok(())
+    raw.metrics.emit(&snapshot_json())
+}
+
+/// The deterministic telemetry snapshot `--metrics` emits.
+fn snapshot_json() -> String {
+    mm_telemetry::global()
+        .snapshot()
+        .deterministic()
+        .to_json_string()
 }
 
 fn main() {

@@ -16,6 +16,7 @@ pub mod factors;
 pub mod fleet;
 pub mod idle;
 pub mod landscape;
+pub mod metrics;
 pub mod query;
 pub mod serve;
 pub mod store;
@@ -24,6 +25,7 @@ pub mod tables;
 
 pub use context::{Ctx, CtxBuilder};
 pub use fleet::{run_fleet, run_fleet_on, FleetConfig, FleetReport, FleetTally};
+pub use metrics::MetricsSink;
 pub use mmcore::MmError;
 pub use query::{QueryEngine, QueryRequest, QueryResult};
 pub use serve::{serve, ServeConfig};

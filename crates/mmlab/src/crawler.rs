@@ -17,13 +17,12 @@
 
 use crate::dataset::{ConfigSample, D2};
 use mm_exec::Executor;
-use mm_rng::Rng;
+use mm_rng::{stream_rng, sub_seed, Rng};
 use mmcarriers::world::{GeneratedCell, World, ROUNDS};
 use mmcore::config::{CellConfig, Quantity};
 use mmcore::events::EventKind;
 use mmcore::kernel::sum_f64;
 use mmradio::band::Rat;
-use mmradio::rng::{stream_rng, sub_seed};
 
 /// Fig 13a-calibrated rounds-per-cell distribution: `(rounds, weight)`.
 ///

@@ -1,9 +1,9 @@
 //! Dataset export — the paper releases its mobility-configuration dataset;
-//! this module writes D1/D2 and signaling traces as JSON-lines files with a
-//! self-describing header record.
+//! this module writes D1/D2 as JSON-lines files with a self-describing
+//! header record. Nothing reads the records back: the format is
+//! write-only, and its bytes are pinned by the tests below.
 
 use crate::dataset::{D1, D2};
-use crate::predicate::Predicate;
 use mm_json::{Json, ToJson};
 use mmcore::MmError;
 use std::io::Write;
@@ -41,21 +41,8 @@ pub fn export_d1<W: Write>(w: W, d1: &D1) -> Result<(), MmError> {
     write_jsonl(w, "d1-handoff-instances", d1.iter_handoffs())
 }
 
-/// Write the filtered view of D2 as JSON lines — same schema and header
-/// as [`export_d2`], with the record count describing the filtered rows.
-pub fn export_d2_filtered<W: Write>(w: W, d2: &D2, pred: &Predicate) -> Result<(), MmError> {
-    let rows: Vec<_> = d2.filter(pred).collect();
-    write_jsonl(w, "d2-config-samples", rows.into_iter())
-}
-
-/// Write the filtered view of D1 as JSON lines (see [`export_d2_filtered`]).
-pub fn export_d1_filtered<W: Write>(w: W, d1: &D1, pred: &Predicate) -> Result<(), MmError> {
-    let rows: Vec<_> = d1.filter(pred).collect();
-    write_jsonl(w, "d1-handoff-instances", rows.into_iter())
-}
-
-/// Quick line-count/kind check of an exported file body (used to validate
-/// round trips without re-parsing every record).
+/// Quick line-count/kind check of an exported file body against its
+/// header, without parsing the records.
 ///
 /// Malformed bodies (missing/unparsable header) come back as
 /// [`MmError::Json`]; a record-count mismatch — a valid file that doesn't
@@ -87,7 +74,12 @@ pub fn validate_export(body: &str) -> Result<(String, usize), MmError> {
 mod tests {
     use super::*;
     use crate::crawler::crawl;
+    use crate::dataset::HandoffInstance;
+    use mmcarriers::city::City;
     use mmcarriers::world::World;
+    use mmcore::reselect::PriorityRelation;
+    use mmnetsim::run::{HandoffKind, HandoffRecord};
+    use mmradio::cell::CellId;
 
     #[test]
     fn d2_export_round_trips_counts() {
@@ -101,6 +93,62 @@ mod tests {
         assert_eq!(n, d2.len());
     }
 
+    /// The released D2 schema, byte for byte: the FNV-1a of a small
+    /// crawl's export and its first record line.
+    #[test]
+    fn d2_export_bytes_are_pinned() {
+        let d2 = crawl(&World::generate(3, 0.005), 1);
+        let mut buf = Vec::new();
+        export_d2(&mut buf, &d2).unwrap();
+        assert_eq!(mm_store::fnv1a64(&buf), 0xe770_64c2_13fa_e0e8);
+        let body = String::from_utf8(buf).unwrap();
+        assert_eq!(
+            body.lines().nth(1).unwrap(),
+            concat!(
+                r#"{"cell":1,"carrier":"A","city":"C1","rat":"Lte","channel":{"rat":"Lte","number":1975},"#,
+                r#""pos":{"x":9606387.412922423,"y":1516171.1889802013},"round":1,"#,
+                r#""param":"cellReselectionPriority","value":3}"#
+            )
+        );
+    }
+
+    /// The released D1 schema, byte for byte: header plus one idle-state
+    /// handoff instance (netsim pins the active record's text).
+    #[test]
+    fn d1_export_bytes_are_pinned() {
+        let record = HandoffRecord {
+            t_ms: 4200,
+            from: CellId(3),
+            to: CellId(9),
+            kind: HandoffKind::Idle {
+                relation: PriorityRelation::NonIntraHigher,
+            },
+            rsrp_old_dbm: -104.5,
+            rsrp_new_dbm: -98.0,
+            rsrq_old_db: -13.0,
+            rsrq_new_db: -9.5,
+            min_thpt_before_bps: None,
+        };
+        let inst = HandoffInstance {
+            carrier: "A",
+            city: City::C1,
+            record,
+        };
+        let mut buf = Vec::new();
+        export_d1(&mut buf, &D1::from_instances(vec![inst])).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            concat!(
+                r#"{"schema":1,"kind":"d1-handoff-instances","records":1}"#,
+                "\n",
+                r#"{"carrier":"A","city":"C1","record":{"t_ms":4200,"from":3,"to":9,"#,
+                r#""kind":{"Idle":{"relation":"NonIntraHigher"}},"rsrp_old_dbm":-104.5,"#,
+                r#""rsrp_new_dbm":-98,"rsrq_old_db":-13,"rsrq_new_db":-9.5,"min_thpt_before_bps":null}}"#,
+                "\n"
+            )
+        );
+    }
+
     #[test]
     fn empty_d1_exports_header_only() {
         let mut buf = Vec::new();
@@ -109,32 +157,6 @@ mod tests {
         let (kind, n) = validate_export(&body).unwrap();
         assert_eq!(kind, "d1-handoff-instances");
         assert_eq!(n, 0);
-    }
-
-    #[test]
-    fn filtered_export_counts_only_matching_rows() {
-        let world = World::generate(3, 0.005);
-        let d2 = crawl(&world, 1);
-        let pred = Predicate::any().carrier("A");
-        let expect = d2.filter(&pred).count();
-        assert!(expect > 0, "carrier A must appear in the crawl");
-        assert!(expect < d2.len(), "the filter must actually narrow");
-        let mut buf = Vec::new();
-        export_d2_filtered(&mut buf, &d2, &pred).unwrap();
-        let body = String::from_utf8(buf).unwrap();
-        let (kind, n) = validate_export(&body).unwrap();
-        assert_eq!(kind, "d2-config-samples");
-        assert_eq!(n, expect);
-        // The neutral predicate exports the full dataset byte-identically.
-        let mut full = Vec::new();
-        export_d2(&mut full, &d2).unwrap();
-        let mut neutral = Vec::new();
-        export_d2_filtered(&mut neutral, &d2, &Predicate::any()).unwrap();
-        assert_eq!(full, neutral);
-        let mut empty = Vec::new();
-        export_d1_filtered(&mut empty, &D1::default(), &pred).unwrap();
-        let (kind, n) = validate_export(&String::from_utf8(empty).unwrap()).unwrap();
-        assert_eq!((kind.as_str(), n), ("d1-handoff-instances", 0));
     }
 
     #[test]

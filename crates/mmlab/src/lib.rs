@@ -29,7 +29,7 @@ pub use campaign::{
 pub use crawler::{crawl, crawl_with, crawl_with_stats};
 pub use dataset::{ConfigSample, HandoffInstance, D1, D2};
 pub use diversity::{diversity, simpson_index, Diversity, Measure};
-pub use export::{export_d1, export_d1_filtered, export_d2, export_d2_filtered};
+pub use export::{export_d1, export_d2};
 pub use predicate::Predicate;
 pub use store::{D1StoreReader, D2StoreReader, ScanStats, KIND_D1, KIND_D2};
 pub use typeii::{find_cells_of_interest, guided_campaign};

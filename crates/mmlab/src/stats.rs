@@ -1,6 +1,8 @@
 //! Small statistics helpers for figure generation: empirical CDFs, quantile
 //! boxplot summaries, and percentage breakdowns.
 
+use mmcore::kernel::sum_f64;
+
 /// Empirical CDF points `(x, F(x)·100%)`, one per sample, sorted.
 pub fn cdf(values: &[f64]) -> Vec<(f64, f64)> {
     let mut sorted: Vec<f64> = values.to_vec();
@@ -72,7 +74,7 @@ pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    values.iter().sum::<f64>() / values.len() as f64
+    sum_f64(values.iter().copied()) / values.len() as f64
 }
 
 /// Percentage breakdown of labelled counts, in input order.

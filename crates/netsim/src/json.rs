@@ -4,12 +4,8 @@
 //! part of the released-dataset schema: serde-derive conventions, with
 //! enum variants as single-key objects.
 
-use crate::run::{HandoffKind, HandoffRecord, RlfEvent};
-use mm_json::{FromJson, Json, JsonError, ToJson};
-use mmcore::config::Quantity;
-use mmcore::events::{EventKind, ReportConfig};
-use mmcore::reselect::PriorityRelation;
-use mmradio::cell::CellId;
+use crate::run::{HandoffKind, HandoffRecord};
+use mm_json::{Json, ToJson};
 
 impl ToJson for HandoffKind {
     fn to_json(&self) -> Json {
@@ -38,34 +34,6 @@ impl ToJson for HandoffKind {
     }
 }
 
-impl FromJson for HandoffKind {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let members = v
-            .as_object()
-            .ok_or_else(|| JsonError::new("expected a HandoffKind variant"))?;
-        let (name, body) = members
-            .first()
-            .ok_or_else(|| JsonError::new("empty HandoffKind object"))?;
-        Ok(match name.as_str() {
-            "Active" => HandoffKind::Active {
-                decisive: EventKind::from_json(&body["decisive"])?,
-                quantity: Quantity::from_json(&body["quantity"])?,
-                report_config: Option::<ReportConfig>::from_json(&body["report_config"])?,
-                report_t_ms: u64::from_json(&body["report_t_ms"])?,
-                command_delay_ms: u64::from_json(&body["command_delay_ms"])?,
-            },
-            "Idle" => HandoffKind::Idle {
-                relation: PriorityRelation::from_json(&body["relation"])?,
-            },
-            other => {
-                return Err(JsonError::new(format!(
-                    "unknown HandoffKind variant {other}"
-                )))
-            }
-        })
-    }
-}
-
 impl ToJson for HandoffRecord {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -82,48 +50,16 @@ impl ToJson for HandoffRecord {
     }
 }
 
-impl FromJson for HandoffRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(HandoffRecord {
-            t_ms: u64::from_json(&v["t_ms"])?,
-            from: CellId::from_json(&v["from"])?,
-            to: CellId::from_json(&v["to"])?,
-            kind: HandoffKind::from_json(&v["kind"])?,
-            rsrp_old_dbm: f64::from_json(&v["rsrp_old_dbm"])?,
-            rsrp_new_dbm: f64::from_json(&v["rsrp_new_dbm"])?,
-            rsrq_old_db: f64::from_json(&v["rsrq_old_db"])?,
-            rsrq_new_db: f64::from_json(&v["rsrq_new_db"])?,
-            min_thpt_before_bps: Option::<f64>::from_json(&v["min_thpt_before_bps"])?,
-        })
-    }
-}
-
-impl ToJson for RlfEvent {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("t_ms", self.t_ms.to_json()),
-            ("cell", self.cell.to_json()),
-            ("reestablished_on", self.reestablished_on.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RlfEvent {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RlfEvent {
-            t_ms: u64::from_json(&v["t_ms"])?,
-            cell: CellId::from_json(&v["cell"])?,
-            reestablished_on: CellId::from_json(&v["reestablished_on"])?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmcore::config::Quantity;
+    use mmcore::events::{EventKind, ReportConfig};
+    use mmcore::reselect::PriorityRelation;
+    use mmradio::cell::CellId;
 
     #[test]
-    fn handoff_record_round_trips() {
+    fn handoff_records_serialize_to_their_pinned_text() {
         let rec = HandoffRecord {
             t_ms: 4200,
             from: CellId(3),
@@ -141,8 +77,16 @@ mod tests {
             rsrq_new_db: -9.5,
             min_thpt_before_bps: Some(2.25e6),
         };
-        let back = HandoffRecord::from_json_str(&rec.to_json_string()).unwrap();
-        assert_eq!(back, rec);
+        assert_eq!(
+            rec.to_json_string(),
+            concat!(
+                r#"{"t_ms":4200,"from":3,"to":9,"kind":{"Active":{"decisive":{"A3":{"offset_db":3}},"#,
+                r#""quantity":"Rsrp","report_config":{"event":{"A3":{"offset_db":3}},"quantity":"Rsrp","#,
+                r#""hysteresis_db":1,"time_to_trigger_ms":320,"report_interval_ms":480,"report_amount":1},"#,
+                r#""report_t_ms":4100,"command_delay_ms":60}},"rsrp_old_dbm":-104.5,"rsrp_new_dbm":-98,"#,
+                r#""rsrq_old_db":-13,"rsrq_new_db":-9.5,"min_thpt_before_bps":2250000}"#
+            )
+        );
 
         let idle = HandoffRecord {
             kind: HandoffKind::Idle {
@@ -151,7 +95,13 @@ mod tests {
             min_thpt_before_bps: None,
             ..rec
         };
-        let back = HandoffRecord::from_json_str(&idle.to_json_string()).unwrap();
-        assert_eq!(back, idle);
+        assert_eq!(
+            idle.to_json_string(),
+            concat!(
+                r#"{"t_ms":4200,"from":3,"to":9,"kind":{"Idle":{"relation":"NonIntraHigher"}},"#,
+                r#""rsrp_old_dbm":-104.5,"rsrp_new_dbm":-98,"rsrq_old_db":-13,"rsrq_new_db":-9.5,"#,
+                r#""min_thpt_before_bps":null}"#
+            )
+        );
     }
 }

@@ -5,9 +5,8 @@
 //! (90–120 km/h); every model here reduces to a position-at-time function so
 //! the runner stays a simple fixed-step loop.
 
-use mm_rng::Rng;
+use mm_rng::{stream_rng, Rng};
 use mmradio::geom::{Point, Route};
-use mmradio::rng::stream_rng;
 
 /// A mobility pattern: where is the UE at time `t`?
 #[derive(Debug, Clone, PartialEq)]

@@ -7,17 +7,11 @@
 use crate::band::{ChannelNumber, Rat};
 use crate::cell::CellId;
 use crate::geom::Point;
-use mm_json::{FromJson, Json, JsonError, ToJson};
+use mm_json::{Json, ToJson};
 
 impl ToJson for CellId {
     fn to_json(&self) -> Json {
         self.0.to_json()
-    }
-}
-
-impl FromJson for CellId {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CellId(u32::from_json(v)?))
     }
 }
 
@@ -36,19 +30,6 @@ impl ToJson for Rat {
     }
 }
 
-impl FromJson for Rat {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("Lte") => Ok(Rat::Lte),
-            Some("Umts") => Ok(Rat::Umts),
-            Some("Gsm") => Ok(Rat::Gsm),
-            Some("Evdo") => Ok(Rat::Evdo),
-            Some("Cdma1x") => Ok(Rat::Cdma1x),
-            _ => Err(JsonError::new("expected a Rat variant name")),
-        }
-    }
-}
-
 impl ToJson for ChannelNumber {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -58,49 +39,37 @@ impl ToJson for ChannelNumber {
     }
 }
 
-impl FromJson for ChannelNumber {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ChannelNumber {
-            rat: Rat::from_json(&v["rat"])?,
-            number: u32::from_json(&v["number"])?,
-        })
-    }
-}
-
 impl ToJson for Point {
     fn to_json(&self) -> Json {
         Json::obj([("x", self.x.to_json()), ("y", self.y.to_json())])
     }
 }
 
-impl FromJson for Point {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Point {
-            x: f64::from_json(&v["x"])?,
-            y: f64::from_json(&v["y"])?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mm_json::{FromJson, ToJson};
 
     #[test]
-    fn radio_primitives_round_trip() {
-        let c = ChannelNumber::earfcn(9820);
-        assert_eq!(c.to_json_string(), r#"{"rat":"Lte","number":9820}"#);
-        assert_eq!(
-            ChannelNumber::from_json_str(&c.to_json_string()).unwrap(),
-            c
-        );
-        assert_eq!(CellId::from_json_str("77").unwrap(), CellId(77));
+    fn radio_primitives_serialize_to_their_pinned_text() {
         assert_eq!(CellId(5).to_json_string(), "5");
-        let p = Point::new(-12.5, 340.0);
-        assert_eq!(Point::from_json_str(&p.to_json_string()).unwrap(), p);
-        for rat in Rat::ALL {
-            assert_eq!(Rat::from_json_str(&rat.to_json_string()).unwrap(), rat);
-        }
+        assert_eq!(
+            ChannelNumber::earfcn(9820).to_json_string(),
+            r#"{"rat":"Lte","number":9820}"#
+        );
+        assert_eq!(
+            Point::new(-12.5, 340.0).to_json_string(),
+            r#"{"x":-12.5,"y":340}"#
+        );
+        let rats: Vec<String> = Rat::ALL.iter().map(ToJson::to_json_string).collect();
+        assert_eq!(
+            rats,
+            [
+                r#""Lte""#,
+                r#""Umts""#,
+                r#""Gsm""#,
+                r#""Evdo""#,
+                r#""Cdma1x""#
+            ]
+        );
     }
 }

@@ -20,7 +20,6 @@ pub mod cell;
 pub mod geom;
 pub mod json;
 pub mod propagation;
-pub mod rng;
 pub mod signal;
 
 pub use band::{ChannelNumber, FrequencyBand, Rat};

@@ -10,7 +10,6 @@
 //! from [`messages::RrcMessage`] byte strings.
 
 pub mod codec;
-pub mod json;
 pub mod log;
 pub mod messages;
 

@@ -9,6 +9,8 @@
 use mmlab::stats::{mean, pct_above};
 use mmnetsim::run::HandoffKind;
 use mobility_mm::prelude::*;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -60,14 +62,16 @@ fn main() {
         );
     }
 
-    // Export the dataset as JSON lines, like the paper's released data.
+    // Export the dataset as JSON lines, like the paper's released data,
+    // then check the file against its own header.
     let out = std::env::temp_dir().join("mobility_mm_d1.jsonl");
-    let mut body = String::new();
-    for i in d1.iter_handoffs() {
-        use mm_json::ToJson;
-        body.push_str(&i.to_json_string());
-        body.push('\n');
-    }
-    std::fs::write(&out, body).expect("write dataset");
-    println!("D1 exported to {}", out.display());
+    let mut w = BufWriter::new(File::create(&out).expect("create dataset file"));
+    mmlab::export_d1(&mut w, &d1).expect("export D1");
+    w.flush().expect("flush dataset file");
+    let body = std::fs::read_to_string(&out).expect("read dataset back");
+    let (kind, records) = mmlab::export::validate_export(&body).expect("valid D1 export");
+    println!(
+        "D1 exported to {}: validated {records} {kind} records",
+        out.display()
+    );
 }

@@ -101,6 +101,24 @@ cargo test -q --release --test determinism
 cargo bench -p mm-bench -- --smoke
 cargo bench -p mm-bench --bench exec -- --smoke
 
+# The examples drive the public API end to end: drive_test must export its
+# D1 dataset through mmlab::export_d1 and validate one record per collected
+# handoff instance, and quickstart must finish its SIB encode/decode round
+# trip.
+drive_out="$(TMPDIR="$tmpdir" cargo run -q --release --example drive_test -- 0.02 1 2>/dev/null)"
+collected="$(printf '%s\n' "$drive_out" | sed -n 's/^collected \([0-9]*\) .*handoff instances$/\1/p')"
+validated="$(printf '%s\n' "$drive_out" | sed -n 's/.*: validated \([0-9]*\) .* records$/\1/p')"
+if [ -z "$collected" ] || [ "$collected" != "$validated" ]; then
+    echo "verify.sh: FAIL — drive_test validated ${validated:-no} D1 records for ${collected:-no} collected handoff instances" >&2
+    exit 1
+fi
+quick_out="$(cargo run -q --release --example quickstart 2>/dev/null)"
+if [[ "$quick_out" != *"SIB round trip OK"* ]]; then
+    echo "verify.sh: FAIL — quickstart did not report \"SIB round trip OK\"" >&2
+    exit 1
+fi
+echo "verify.sh: drive_test exported and validated all ${collected} D1 records; quickstart SIB round trip OK"
+
 # End-to-end: `mmx all ablations` stdout must not depend on the thread
 # count, and neither may the deterministic telemetry snapshot emitted by
 # --metrics. Any divergence here is a scheduler-determinism bug.
@@ -469,4 +487,4 @@ if ! awk -v s="${serve_speedup:-0}" 'BEGIN { exit !(s >= 100.0) }'; then
 fi
 echo "verify.sh: serve bench warm qps ${serve_speedup}x the cold-process path (gate: >= 100x)"
 
-echo "verify.sh: build + fmt + clippy + clippy fixtures + mmlint strict + tests + determinism + bench smoke + store + streaming + paper-scale + query + fleet + serving gates all green (offline)"
+echo "verify.sh: build + fmt + clippy + clippy fixtures + mmlint strict + tests + determinism + bench smoke + examples + store + streaming + paper-scale + query + fleet + serving gates all green (offline)"

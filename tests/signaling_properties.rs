@@ -97,8 +97,8 @@ fn prop_duplication_invariance() {
 
 #[test]
 fn every_carrier_produces_decodable_configs_for_every_event_choice() {
+    use mm_rng::stream_rng;
     use mmcarriers::EventChoice;
-    use mmradio::rng::stream_rng;
     for profile in profiles() {
         for choice in [
             EventChoice::A3,
