@@ -323,10 +323,20 @@ struct UeState {
 
 impl UeState {
     /// Attach at the route start; `None` if no cell is detectable there.
-    fn attach(network: &Network, cfg: &DriveConfig, mode: CollectMode) -> Option<UeState> {
+    /// The survey taken to pick the cell already holds the shadowing
+    /// corners the first Measure, at the same position, reads.
+    fn attach(
+        network: &Network,
+        cfg: &DriveConfig,
+        mode: CollectMode,
+        scratch: &mut MeasureScratch,
+    ) -> Option<UeState> {
         let rng = stream_rng(cfg.seed, 0x647276); // "drv"
         let start = cfg.mobility.position(0.0);
-        let (initial, _) = network.deployment.strongest(start, None)?;
+        let mut survey = Survey::default();
+        let (initial, _) = network
+            .deployment
+            .strongest_in(start, &mut survey, scratch)?;
         let mut log = SignalingLog::new();
         if mode == CollectMode::Full {
             log_broadcast(&mut log, 0, network, initial);
@@ -341,7 +351,7 @@ impl UeState {
             idle,
             pos: start,
             batch: Vec::new(),
-            survey: Survey::default(),
+            survey,
             pending: None,
             interruption_until: 0,
             last_handoff_t: None,
@@ -446,7 +456,7 @@ impl<'n> Engine<'n> {
         let mut ues: Vec<Option<UeState>> = Vec::with_capacity(cfgs.len());
         for (i, cfg) in cfgs.iter().enumerate() {
             assert!(cfg.epoch_ms > 0, "epoch_ms must be positive");
-            let st = UeState::attach(self.network, cfg, self.mode);
+            let st = UeState::attach(self.network, cfg, self.mode, &mut scratch);
             if st.is_some() && cfg.duration_ms > 0 {
                 queue.push(0, i as u32, Phase::Measure);
             }
@@ -469,7 +479,7 @@ impl<'n> Engine<'n> {
                     queue.push(ev.t_ms, ev.ue, Phase::Control);
                 }
                 Phase::Control => {
-                    self.control(st, ev.t_ms);
+                    self.control(st, ev.t_ms, &mut scratch);
                     if cfg.active {
                         queue.push(ev.t_ms, ev.ue, Phase::Traffic);
                     } else {
@@ -499,7 +509,7 @@ impl<'n> Engine<'n> {
     /// Control-plane work of one epoch — a statement-for-statement
     /// transplant of the historical per-tick loop body, so the per-UE
     /// output is byte-identical.
-    fn control(&self, st: &mut UeState, t: u64) {
+    fn control(&self, st: &mut UeState, t: u64, scratch: &mut MeasureScratch) {
         let network = self.network;
         let mode = self.mode;
         let serving = st.serving();
@@ -521,9 +531,10 @@ impl<'n> Engine<'n> {
                 if sinr.0 < network.policy.rlf_qout_sinr_db {
                     let since = *st.out_of_sync_since.get_or_insert(t);
                     if t.saturating_sub(since) >= network.policy.rlf_t310_ms {
+                        // The survey is refilled where it already stands.
                         let target = network
                             .deployment
-                            .strongest(st.pos, None)
+                            .strongest_in(st.pos, &mut st.survey, scratch)
                             .map(|(c, _)| c)
                             .filter(|c| network.configs.contains_key(c))
                             .unwrap_or_else(|| ue.serving());

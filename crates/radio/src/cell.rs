@@ -7,7 +7,7 @@
 
 use crate::band::{ChannelNumber, Rat};
 use crate::geom::Point;
-use crate::propagation::{PropagationModel, RadioSample, ShadowingAt};
+use crate::propagation::{PropagationModel, RadioSample, ShadowingAt, SquareKey};
 use crate::signal::{noise_floor_dbm, rsrq_from_rssi, Dbm, Rsrp, Sinr};
 use mm_rng::Rng;
 
@@ -49,8 +49,13 @@ impl PhyCell {
 /// RSRP below which a cell is undetectable and never reported.
 pub const DETECTION_FLOOR_DBM: f64 = -135.0;
 
-/// Sites farther than this cannot exceed the detection floor even with the
-/// most favourable shadowing draw, so measurement skips them outright.
+/// Sites farther than this are left out of every measurement. This is a
+/// modelling cut, not a physical bound: a strong low-band site can still
+/// clear the detection floor beyond it. A 46 dBm cell on EARFCN 5110
+/// (~739 MHz) in [`crate::propagation::Environment::Urban`] has a 15 km
+/// median of about −129.5 dBm before any shadowing, above the −135 dBm
+/// floor. ROADMAP.md's "Bound measurement by what a UE can hear" item
+/// replaces the cut with a received-power floor.
 pub const MAX_AUDIBLE_DISTANCE_M: f64 = 15_000.0;
 
 /// Measurement bandwidth (in PRB) used for the RSSI/RSRQ computation.
@@ -76,21 +81,42 @@ pub struct Measurement {
 }
 
 /// The linear median power of every cell audible at one position, grouped
-/// by channel.
+/// by channel, and each one's shadowing lattice corners.
 ///
 /// [`Deployment::measure_into`] fills it once per UE epoch;
 /// [`Deployment::sinr_in`] reads it for as long as the UE stays at that
 /// position, so an epoch computes each cell's path loss, shadowing and
-/// `powf` once. Refilling it reuses its buffers.
+/// `powf` once. A refill in the same lattice square as the last one reuses
+/// the corners of every cell it heard, so a UE draws a cell's four lattice
+/// normals once per square it crosses, not once per epoch. Refilling it
+/// reuses its buffers.
 #[derive(Debug, Clone, Default)]
 pub struct Survey {
     pos: Point,
+    /// The lattice square `corners` were drawn in; `None` before the first
+    /// fill.
+    square: Option<SquareKey>,
     /// Each audible channel's group, in the order the channels were first
     /// heard.
     groups: Vec<Group>,
-    /// `(cell index, median mW)` of every audible cell, grouped by channel,
-    /// in ascending cell index within a group.
-    heard: Vec<(usize, f64)>,
+    /// Every audible cell, grouped by channel, in ascending cell index
+    /// within a group.
+    heard: Vec<Heard>,
+    /// Each `heard` cell's [`ShadowingAt::corners`] in `square`.
+    corners: Vec<[f64; 4]>,
+}
+
+/// One audible cell of a [`Survey`]: 16 bytes, no padding.
+#[derive(Debug, Clone, Copy)]
+struct Heard {
+    /// The cell's median power, mW.
+    mw: f64,
+    /// Where the cell sits in [`Deployment::cells`]; a `u32` keeps the
+    /// survey small, and deployments hold far fewer than 2³² cells.
+    index: u32,
+    /// The cell's [`CellId`]: the corners are valid for a later fill only
+    /// if the cell at `index` still carries it.
+    label: u32,
 }
 
 /// The audible cells of one channel in a [`Survey`].
@@ -114,11 +140,12 @@ impl Survey {
         start..end
     }
 
-    /// The audible cells on `channel`, in ascending cell index.
-    fn group(&self, channel: ChannelNumber) -> &[(usize, f64)] {
+    /// Where the audible cells on `channel` sit in `heard`, in ascending
+    /// cell index.
+    fn group(&self, channel: ChannelNumber) -> core::ops::Range<usize> {
         match self.groups.iter().position(|g| g.channel == channel) {
-            Some(slot) => &self.heard[self.group_at(slot)],
-            None => &[],
+            Some(slot) => self.group_at(slot),
+            None => 0..0,
         }
     }
 }
@@ -130,6 +157,11 @@ pub struct MeasureScratch {
     /// `(cell index, median dBm, channel slot)` of every audible cell, in
     /// ascending cell index.
     medians: Vec<(usize, f64, usize)>,
+    /// The corners of each `medians` cell.
+    corners: Vec<[f64; 4]>,
+    /// Where each cell's corners sit in the survey being refilled, by cell
+    /// index; empty unless the refill stays in the survey's lattice square.
+    cached_at: Vec<u32>,
     /// Each [`Survey`] entry's load-weighted RSSI contribution, aligned
     /// with `Survey::heard`.
     terms: Vec<f64>,
@@ -177,24 +209,31 @@ impl Deployment {
     /// at `pos`.
     pub fn median_rsrp(&self, cell: &PhyCell, pos: Point) -> Rsrp {
         let shadowing = self.model.shadowing_at(pos);
+        let corners = shadowing.corners(u64::from(cell.id.0));
         let channel_loss_db = self.model.channel_loss_db(cell.channel);
-        self.median_at(cell, &shadowing, channel_loss_db, cell.pos.distance(pos))
+        self.median_at(
+            cell,
+            &shadowing,
+            corners,
+            channel_loss_db,
+            cell.pos.distance(pos),
+        )
     }
 
     /// [`Deployment::median_rsrp`] with the shadowing field at the UE
-    /// position and the channel loss prepared, and the site distance `d`
-    /// known.
+    /// position, the cell's corners in it and the channel loss prepared,
+    /// and the site distance `d` known.
     fn median_at(
         &self,
         cell: &PhyCell,
         shadowing: &ShadowingAt,
+        corners: [f64; 4],
         channel_loss_db: f64,
         d: f64,
     ) -> Rsrp {
-        let p = self.model.received_power_in(
-            shadowing,
+        let p = self.model.received_power_from(
             channel_loss_db,
-            u64::from(cell.id.0),
+            shadowing.db_from(corners),
             cell.tx_power_dbm,
             d,
         );
@@ -239,11 +278,11 @@ impl Deployment {
             let own_mw = Dbm(rsrp.dbm()).to_mw() * n * (1.0 + 11.0 * cell.load);
             let group = survey.group_at(slot);
             let mut interf_mw = 0.0;
-            for (&(j, _), &term) in survey.heard[group.clone()]
+            for (heard, &term) in survey.heard[group.clone()]
                 .iter()
                 .zip(&scratch.terms[group])
             {
-                if j != i {
+                if heard.index as usize != i {
                     // Accumulation order is the fixed `cells` order, identical on every run.
                     interf_mw += term;
                 }
@@ -272,6 +311,10 @@ impl Deployment {
     /// Fill `survey` with every cell audible at `pos` (only those on
     /// channel `only`, if given), and `scratch` with their medians in
     /// ascending cell index and their RSSI terms.
+    ///
+    /// A cell's corners are taken from `survey` when its last fill was in
+    /// the same lattice square and heard the same cell at the same index;
+    /// otherwise they are drawn afresh. Either way they are the same f64s.
     fn fill_survey(
         &self,
         pos: Point,
@@ -282,14 +325,26 @@ impl Deployment {
         // The scratch is sized once for the whole deployment, so refills
         // never regrow it; each UE's survey only for the cells it hears.
         let most = self.cells.len();
+        let shadowing = self.model.shadowing_at(pos);
+        scratch.cached_at.clear();
+        if survey.square == Some(shadowing.key()) {
+            // u32::MAX: no heard entry, so no cached corners.
+            scratch.cached_at.resize(most, u32::MAX);
+            for (at, heard) in survey.heard.iter().enumerate() {
+                if let Some(slot) = scratch.cached_at.get_mut(heard.index as usize) {
+                    *slot = at as u32;
+                }
+            }
+        }
         survey.pos = pos;
+        survey.square = Some(shadowing.key());
         survey.groups.clear();
-        survey.heard.clear();
         scratch.medians.clear();
         scratch.medians.reserve(most);
+        scratch.corners.clear();
+        scratch.corners.reserve(most);
         scratch.terms.clear();
         scratch.terms.reserve(most);
-        let shadowing = self.model.shadowing_at(pos);
         for (i, c) in self.cells.iter().enumerate() {
             if only.is_some_and(|ch| ch != c.channel) {
                 continue;
@@ -310,20 +365,39 @@ impl Deployment {
                 }
             };
             let loss_db = survey.groups[slot].loss_db;
-            let median = self.median_at(c, &shadowing, loss_db, d);
+            let cached = scratch
+                .cached_at
+                .get(i)
+                .map(|&at| at as usize)
+                .filter(|&at| survey.heard.get(at).is_some_and(|h| h.label == c.id.0))
+                .and_then(|at| survey.corners.get(at));
+            let corners = match cached {
+                Some(&corners) => corners,
+                None => shadowing.corners(u64::from(c.id.0)),
+            };
+            let median = self.median_at(c, &shadowing, corners, loss_db, d);
             scratch.medians.push((i, median.dbm(), slot));
+            scratch.corners.push(corners);
         }
         // Group by channel, keeping ascending cell index inside each group.
-        survey.heard.reserve_exact(scratch.medians.len());
+        let audible = scratch.medians.len();
+        survey.heard.clear();
+        survey.heard.reserve_exact(audible);
+        survey.corners.clear();
+        survey.corners.reserve_exact(audible);
         let n = f64::from(MEAS_BANDWIDTH_PRB);
         for (slot, group) in survey.groups.iter_mut().enumerate() {
-            for &(i, median_dbm, s) in &scratch.medians {
+            for (&(i, median_dbm, s), &corners) in scratch.medians.iter().zip(&scratch.corners) {
                 if s == slot {
+                    let cell = &self.cells[i];
                     let mw = Dbm(median_dbm).to_mw();
-                    survey.heard.push((i, mw));
-                    scratch
-                        .terms
-                        .push(mw * n * (1.0 + 11.0 * self.cells[i].load));
+                    survey.heard.push(Heard {
+                        mw,
+                        index: i as u32,
+                        label: cell.id.0,
+                    });
+                    survey.corners.push(corners);
+                    scratch.terms.push(mw * n * (1.0 + 11.0 * cell.load));
                 }
             }
             group.end = survey.heard.len();
@@ -351,7 +425,8 @@ impl Deployment {
         let cell = &self.cells[index];
         let mut own_mw = None;
         let mut interf_mw = 0.0;
-        for &(j, mw) in survey.group(cell.channel) {
+        for heard in &survey.heard[survey.group(cell.channel)] {
+            let (j, mw) = (heard.index as usize, heard.mw);
             let other = &self.cells[j];
             if j == index {
                 own_mw = Some(mw);
@@ -384,6 +459,30 @@ impl Deployment {
             .iter()
             .filter(|c| rat.is_none_or(|r| c.rat() == r))
             .map(|c| (c.id, self.median_rsrp(c, pos)))
+            .filter(|(_, r)| r.dbm() >= DETECTION_FLOOR_DBM)
+            .max_by(|a, b| a.1.dbm().total_cmp(&b.1.dbm()))
+    }
+
+    /// [`Deployment::strongest`] over every RAT, through `survey`: it is
+    /// refilled at `pos` as [`Deployment::measure_into`] would leave it, so
+    /// the audible cells' shadowing corners come from, and stay in, its
+    /// cache. Cells beyond the audibility cut are still candidates, as in
+    /// [`Deployment::strongest`].
+    pub fn strongest_in(
+        &self,
+        pos: Point,
+        survey: &mut Survey,
+        scratch: &mut MeasureScratch,
+    ) -> Option<(CellId, Rsrp)> {
+        self.fill_survey(pos, None, survey, scratch);
+        let mut audible = scratch.medians.iter().peekable();
+        self.cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| match audible.next_if(|m| m.0 == i) {
+                Some(&(_, median_dbm, _)) => (c.id, Rsrp::new(median_dbm)),
+                None => (c.id, self.median_rsrp(c, pos)),
+            })
             .filter(|(_, r)| r.dbm() >= DETECTION_FLOOR_DBM)
             .max_by(|a, b| a.1.dbm().total_cmp(&b.1.dbm()))
     }
@@ -503,6 +602,15 @@ mod tests {
             q_near.db(),
             q_mid.db()
         );
+    }
+
+    #[test]
+    fn the_audibility_cut_drops_cells_above_the_floor() {
+        let model = PropagationModel::new(Environment::Urban, 1);
+        let loss = model.path_loss_db(MAX_AUDIBLE_DISTANCE_M, ChannelNumber::earfcn(5110));
+        let median = 46.0 - loss;
+        assert!((median - -129.5).abs() < 0.1, "{median}");
+        assert!(median > DETECTION_FLOOR_DBM);
     }
 
     #[test]
@@ -683,6 +791,192 @@ mod tests {
         }
         assert!(beyond_cut > 0, "the fallback path must be exercised");
         assert_eq!(d.sinr(CellId(99_999), Point::new(0.0, 0.0)), None);
+    }
+
+    /// Every bit of a measurement list, for exact comparison.
+    fn bits(ms: &[Measurement]) -> Vec<(CellId, usize, u64, u64)> {
+        ms.iter()
+            .map(|m| {
+                let s = m.sample;
+                (
+                    m.cell,
+                    m.index,
+                    s.rsrp.dbm().to_bits(),
+                    s.rsrq.db().to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// [`Deployment::strongest`]'s answer, bit for bit.
+    fn strongest_bits(best: Option<(CellId, Rsrp)>) -> Option<(CellId, u64)> {
+        best.map(|(id, r)| (id, r.dbm().to_bits()))
+    }
+
+    /// A route from (-1050, 525) to (1050, -525) in 14 m × 7 m steps,
+    /// about one 1 s epoch of city driving each: both signs of both
+    /// coordinates, a lattice corner of the city's 70 m lattice every
+    /// tenth step (from the fifth), and sites crossing the audibility cut
+    /// as it goes.
+    fn route() -> impl Iterator<Item = Point> {
+        (0..=150u32).map(|k| {
+            let k = f64::from(k);
+            Point::new(k * 14.0 - 1_050.0, 525.0 - k * 7.0)
+        })
+    }
+
+    #[test]
+    fn a_survey_carried_along_a_route_matches_fresh_ones() {
+        let d = city();
+        let spacing = d.model.environment.decorrelation_distance_m();
+        let (mut survey, mut scratch) = (Survey::default(), MeasureScratch::default());
+        let mut last: Option<(SquareKey, Vec<u32>)> = None;
+        let (mut squares, mut corners_hit, mut heard_changed_in_square) = (0, 0, 0);
+        for (k, pos) in route().enumerate() {
+            let mut want_rng = SmallRng::seed_from_u64(k as u64);
+            let mut got_rng = want_rng.clone();
+            let want = d.measure_all(pos, &mut want_rng);
+            let got = d.measure_into(pos, &mut got_rng, &mut survey, &mut scratch);
+            assert_eq!(bits(got), bits(&want), "at {pos:?}");
+            assert_eq!(got_rng.gen::<u64>(), want_rng.gen::<u64>());
+
+            let mut fresh = Survey::default();
+            let mut rng = SmallRng::seed_from_u64(0);
+            d.measure_into(pos, &mut rng, &mut fresh, &mut MeasureScratch::default());
+            for (i, c) in d.cells().iter().enumerate() {
+                let got = d.sinr_in(i, &survey).0.to_bits();
+                assert_eq!(got, d.sinr_in(i, &fresh).0.to_bits(), "{} at {pos:?}", c.id);
+                if i % 23 == 0 {
+                    assert_eq!(got, d.sinr(c.id, pos).unwrap().0.to_bits());
+                }
+            }
+
+            let square = survey.square.unwrap();
+            let mut heard: Vec<u32> = survey.heard.iter().map(|h| h.index).collect();
+            heard.sort_unstable();
+            match &last {
+                Some((prev, prev_heard)) if *prev == square => {
+                    heard_changed_in_square += usize::from(*prev_heard != heard);
+                }
+                _ => squares += 1,
+            }
+            last = Some((square, heard));
+            if pos.x % spacing == 0.0 && pos.y % spacing == 0.0 {
+                corners_hit += 1;
+            }
+
+            // Attach and re-establishment pick the same cell through the
+            // cache, and leave the survey as the measurement left it.
+            let best = d.strongest_in(pos, &mut survey, &mut scratch);
+            assert_eq!(strongest_bits(best), strongest_bits(d.strongest(pos, None)));
+            for (i, c) in d.cells().iter().enumerate().step_by(23) {
+                assert_eq!(
+                    d.sinr_in(i, &survey).0.to_bits(),
+                    d.sinr_in(i, &fresh).0.to_bits(),
+                    "{} at {pos:?}",
+                    c.id
+                );
+            }
+        }
+        assert!(squares >= 20, "{squares} lattice squares");
+        assert!(corners_hit >= 10, "{corners_hit} lattice corners");
+        assert!(
+            heard_changed_in_square > 0,
+            "a site must cross the audibility cut inside one square"
+        );
+    }
+
+    #[test]
+    fn corners_are_drawn_only_when_the_square_changes() {
+        let d = city();
+        let (mut survey, mut scratch) = (Survey::default(), MeasureScratch::default());
+        let mut rng = SmallRng::seed_from_u64(4);
+        // Square (100, 100) of the 70 m lattice, then 14 m on inside it.
+        let (start, same, next) = (
+            Point::new(7_010.0, 7_010.0),
+            Point::new(7_024.0, 7_017.0),
+            Point::new(7_080.0, 7_017.0),
+        );
+        d.measure_into(start, &mut rng, &mut survey, &mut scratch);
+        assert!(survey.corners.len() > 300);
+        // A marker in place of every cached corner: a refill that reads the
+        // cache instead of drawing carries it on.
+        let marker = [0.25, -0.5, 1.0, -2.0];
+        survey.corners.fill(marker);
+        let poisoned = bits(d.measure_into(same, &mut rng.clone(), &mut survey, &mut scratch));
+        assert!(survey.corners.iter().all(|&c| c == marker));
+        let honest = d.measure_all(same, &mut rng.clone());
+        assert_ne!(
+            poisoned,
+            bits(&honest),
+            "the cached corners are the ones read"
+        );
+
+        // The next square draws every corner afresh.
+        d.measure_into(next, &mut rng.clone(), &mut survey, &mut scratch);
+        let mut fresh = Survey::default();
+        d.measure_into(next, &mut rng, &mut fresh, &mut MeasureScratch::default());
+        assert_ne!(survey.square, Some(d.model.shadowing_at(same).key()));
+        assert_eq!(survey.corners.len(), fresh.corners.len());
+        for (got, want) in survey.corners.iter().zip(&fresh.corners) {
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+        }
+    }
+
+    #[test]
+    fn a_survey_moved_to_another_deployment_is_never_stale() {
+        let d = city();
+        let model = |env, seed| PropagationModel::new(env, seed);
+        let reseeded = Deployment::new(d.cells().to_vec(), model(Environment::DenseUrban, 0xC2));
+        // Same sites at the same indices under other ids, the same cells
+        // in another order, a prefix of the cells, and a coarser lattice
+        // over the same seed.
+        let relabelled = Deployment::new(
+            d.cells()
+                .iter()
+                .map(|c| PhyCell {
+                    id: CellId(c.id.0 + 50_000),
+                    ..c.clone()
+                })
+                .collect(),
+            d.model.clone(),
+        );
+        let reversed = Deployment::new(d.cells().iter().rev().cloned().collect(), d.model.clone());
+        let prefix = Deployment::new(d.cells()[..120].to_vec(), d.model.clone());
+        let coarser = Deployment::new(d.cells().to_vec(), model(Environment::Urban, 0xC1));
+        // Square (71, 71) of the 70 m lattice, and one point that is in
+        // square (0, 0) at every lattice spacing.
+        for pos in [Point::new(5_000.0, 5_000.0), Point::new(10.0, 20.0)] {
+            let (mut survey, mut scratch) = (Survey::default(), MeasureScratch::default());
+            for dep in [
+                &d,
+                &reseeded,
+                &d,
+                &relabelled,
+                &reversed,
+                &d,
+                &prefix,
+                &d,
+                &coarser,
+                &d,
+            ] {
+                let rng = SmallRng::seed_from_u64(3);
+                let got = bits(dep.measure_into(pos, &mut rng.clone(), &mut survey, &mut scratch));
+                assert_eq!(
+                    got,
+                    bits(&dep.measure_all(pos, &mut rng.clone())),
+                    "at {pos:?}"
+                );
+                for (i, c) in dep.cells().iter().enumerate() {
+                    assert_eq!(
+                        dep.sinr_in(i, &survey).0.to_bits(),
+                        dep.sinr(c.id, pos).unwrap().0.to_bits(),
+                        "{} at {pos:?}",
+                        c.id
+                    );
+                }
+            }
+        }
     }
 
     #[test]

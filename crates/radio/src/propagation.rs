@@ -141,9 +141,14 @@ impl PropagationModel {
         let w01 = (1.0 - fx) * fy;
         let w11 = fx * fy;
         let norm = (w00 * w00 + w10 * w10 + w01 * w01 + w11 * w11).sqrt();
+        let (ix, iy) = (gx.floor() as i64, gy.floor() as i64);
         ShadowingAt {
-            seed: self.seed,
-            square: LatticeSquare::new(gx.floor() as i64, gy.floor() as i64),
+            key: SquareKey {
+                seed: self.seed,
+                ix,
+                iy,
+            },
+            square: LatticeSquare::new(ix, iy),
             fx,
             fy,
             sigma_db: self.environment.shadowing_sigma_db(),
@@ -161,26 +166,34 @@ impl PropagationModel {
         chan: ChannelNumber,
         pos: Point,
     ) -> Dbm {
-        let shadowing = self.shadowing_at(pos);
+        let shadowing_db = self.shadowing_at(pos).db(cell_label);
         let channel_loss_db = self.channel_loss_db(chan);
-        self.received_power_in(&shadowing, channel_loss_db, cell_label, tx_power_dbm, d_m)
+        self.received_power_from(channel_loss_db, shadowing_db, tx_power_dbm, d_m)
     }
 
-    /// [`PropagationModel::received_power`] with the shadowing field at the
-    /// UE position and the channel's [`PropagationModel::channel_loss_db`]
-    /// already prepared.
-    pub(crate) fn received_power_in(
+    /// [`PropagationModel::received_power`] given the channel's
+    /// [`PropagationModel::channel_loss_db`] and the cell's shadowing at the
+    /// UE position.
+    pub(crate) fn received_power_from(
         &self,
-        shadowing: &ShadowingAt,
         channel_loss_db: f64,
-        cell_label: u64,
+        shadowing_db: f64,
         tx_power_dbm: Dbm,
         d_m: f64,
     ) -> Dbm {
         let pl = self.path_loss_from(channel_loss_db, d_m);
-        let sh = shadowing.db(cell_label);
-        Dbm(tx_power_dbm.0 - pl + sh)
+        Dbm(tx_power_dbm.0 - pl + shadowing_db)
     }
+}
+
+/// What a cell's four lattice corner normals depend on besides the cell:
+/// the field's seed and the lattice square. Two positions with equal keys
+/// read the same corners for every cell, whatever the lattice spacing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SquareKey {
+    seed: u64,
+    ix: i64,
+    iy: i64,
 }
 
 /// The shadowing field at one UE position: the lattice square it falls in
@@ -188,7 +201,7 @@ impl PropagationModel {
 /// them, so only the cell's own lattice values are left to compute.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShadowingAt {
-    seed: u64,
+    key: SquareKey,
     square: LatticeSquare,
     fx: f64,
     fy: f64,
@@ -200,7 +213,26 @@ pub(crate) struct ShadowingAt {
 impl ShadowingAt {
     /// Shadowing in dB of the cell labelled `cell_label`.
     pub(crate) fn db(&self, cell_label: u64) -> f64 {
-        let [v00, v10, v01, v11] = self.square.normals(self.seed, cell_label);
+        self.db_from(self.corners(cell_label))
+    }
+
+    /// The lattice square this position falls in, as a cache key for
+    /// [`ShadowingAt::corners`].
+    pub(crate) fn key(&self) -> SquareKey {
+        self.key
+    }
+
+    /// The lattice normals of the cell labelled `cell_label` at the four
+    /// corners of the square: a pure function of the cell and
+    /// [`ShadowingAt::key`].
+    pub(crate) fn corners(&self, cell_label: u64) -> [f64; 4] {
+        self.square.normals(self.key.seed, cell_label)
+    }
+
+    /// Shadowing in dB of a cell whose [`ShadowingAt::corners`] are
+    /// `[v00, v10, v01, v11]`: the bilinear interpolation at this position,
+    /// scaled to the environment's sigma.
+    pub(crate) fn db_from(&self, [v00, v10, v01, v11]: [f64; 4]) -> f64 {
         let v0 = v00 + (v10 - v00) * self.fx;
         let v1 = v01 + (v11 - v01) * self.fx;
         let v = v0 + (v1 - v0) * self.fy;

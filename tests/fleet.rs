@@ -9,6 +9,17 @@ use mm_exec::Executor;
 use mm_json::ToJson;
 use mm_telemetry::global;
 use mmexperiments::{run_fleet_on, FleetConfig};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by every test here that records into the global telemetry
+/// registry, so no fleet runs between another test's reset() and
+/// snapshot().
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+fn registry() -> MutexGuard<'static, ()> {
+    // A failing sibling poisons the lock; its own failure is the report.
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// FNV-1a, the repo's reference content hash for golden outputs.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -44,10 +55,11 @@ fn run_shape(threads: usize, shards: usize) -> (String, String) {
     (report.render(), metrics)
 }
 
-/// One test fn (not several) so no sibling test races the global registry
-/// between reset() and snapshot() — the tests/telemetry.rs pattern.
+/// One test fn (not several), holding the registry lock, so no sibling
+/// test races the global registry between reset() and snapshot().
 #[test]
 fn fleet_report_invariant_to_threads_and_shards() {
+    let _registry = registry();
     let (reference, reference_metrics) = run_shape(1, 1);
     assert!(reference.contains("fleet: ues 200"), "{reference}");
     assert!(
@@ -86,6 +98,7 @@ fn fleet_report_invariant_to_threads_and_shards() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn fleet_carries_100k_ues() {
+    let _registry = registry();
     let cfg = FleetConfig {
         ues: 100_000,
         shards: 64,
