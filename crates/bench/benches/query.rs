@@ -1,13 +1,15 @@
-//! Benchmarks of the `mmq` query path (DESIGN.md §11): predicate pushdown
-//! vs a full scan over the same stored campaign, and cold-vs-warm query
-//! latency through `QueryEngine`'s content-addressed answer cache.
+//! The `mmq` query path (DESIGN.md §11): predicate pushdown vs a full scan
+//! over the same stored campaign, and cold-vs-warm query latency through
+//! `QueryEngine`'s content-addressed answer cache.
 //!
-//! Besides the timed group, the report attaches a `query_pushdown` section
-//! (rows/sec for both scan modes plus the block-skip counts) and a
-//! `query_latency` section (cold render vs warm cache-hit) — the numbers
-//! the pushdown acceptance gate in `scripts/verify.sh` reads.
+//! The report attaches a `query_pushdown` section (rows/sec for both scan
+//! modes plus the block-skip counts) and a `query_latency` section (cold
+//! render vs warm cache-hit) — the numbers the pushdown acceptance gate in
+//! `scripts/verify.sh` reads.
 
-use mm_bench::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use mm_bench::Report;
 use mm_json::Json;
 use mmexperiments::query::QueryRequest;
 use mmexperiments::store::RunStore;
@@ -22,10 +24,10 @@ fn slice() -> Predicate {
     Predicate::any().carrier("A").rat(Rat::Lte)
 }
 
-fn query_ctx(c: &Criterion) -> Ctx {
+fn query_ctx(bench: &Report) -> Ctx {
     // Smoke keeps the same code path on a quick-sized world; a full run
     // measures the standard-scale campaign.
-    let scale = if c.is_smoke() { 0.05 } else { 0.25 };
+    let scale = if bench.is_smoke() { 0.05 } else { 0.25 };
     Ctx::builder().seed(2018).scale(scale).build()
 }
 
@@ -39,8 +41,8 @@ fn count_rows<R: std::io::Read>(reader: D2StoreReader<R>) -> (u64, mmlab::ScanSt
     (rows, reader.scan_stats())
 }
 
-fn bench_pushdown(c: &mut Criterion) {
-    let ctx = query_ctx(c);
+fn bench_pushdown(bench: &mut Report) {
+    let ctx = query_ctx(bench);
     let d2 = ctx.d2();
     let mut store_bytes = Vec::new();
     d2.write_store(&mut store_bytes).expect("write store");
@@ -69,7 +71,7 @@ fn bench_pushdown(c: &mut Criterion) {
     let scanned = d2.len() as f64;
     let timed = |label: &str, f: &dyn Fn() -> u64| -> f64 {
         // One untimed pass warmed the page cache above; three timed passes,
-        // best rate wins, mirroring what the group below measures.
+        // best rate wins.
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t = std::time::Instant::now();
@@ -96,7 +98,7 @@ fn bench_pushdown(c: &mut Criterion) {
         .0
     });
 
-    c.attach(
+    bench.attach(
         "query_pushdown",
         Json::Obj(vec![
             ("rows".to_string(), Json::Num(scanned)),
@@ -120,43 +122,19 @@ fn bench_pushdown(c: &mut Criterion) {
             ),
         ]),
     );
-
-    let mut g = c.benchmark_group("query");
-    g.throughput(Throughput::Elements(d2.len() as u64));
-    g.bench_function("full_scan", |b| {
-        b.iter(|| {
-            count_rows(
-                D2StoreReader::new(black_box(store_bytes.as_slice()))
-                    .expect("open")
-                    .scan_with_predicate(&pred),
-            )
-            .0
-        })
-    });
-    g.bench_function("pushdown", |b| {
-        b.iter(|| {
-            count_rows(
-                D2StoreReader::new(black_box(store_bytes.as_slice()))
-                    .expect("open")
-                    .with_predicate(&pred),
-            )
-            .0
-        })
-    });
-    g.finish();
 }
 
 /// Cold vs warm `mmq` answer latency for a carrier-sliced Fig 16: the cold
 /// path streams the store through the pushdown readers and renders; the
 /// warm path replays the cached answer without opening a data block.
-fn bench_query_latency(c: &mut Criterion) {
+fn bench_query_latency(bench: &mut Report) {
     let dir = std::env::temp_dir().join(format!("mm-bench-query-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let ctx = query_ctx(c);
+    let ctx = query_ctx(bench);
     let store = RunStore::open(&dir).expect("open store");
     store.save_d2(&ctx).expect("persist campaign");
 
-    let engine = QueryEngine::open(&dir, query_ctx(c)).expect("open engine");
+    let engine = QueryEngine::open(&dir, query_ctx(bench)).expect("open engine");
     let req = QueryRequest::artifact(Artifact::F16)
         .carrier("A")
         .rat(Rat::Lte)
@@ -175,7 +153,7 @@ fn bench_query_latency(c: &mut Criterion) {
     assert!(warm.cached, "second run replays the cached answer");
     assert_eq!(cold.text, warm.text, "cache replay is byte-identical");
 
-    c.attach(
+    bench.attach(
         "query_latency",
         Json::Obj(vec![
             ("cold_ms".to_string(), Json::Num(cold_s * 1e3)),
@@ -186,15 +164,12 @@ fn bench_query_latency(c: &mut Criterion) {
             ),
         ]),
     );
-
-    let mut g = c.benchmark_group("query_cache");
-    g.sample_size(10);
-    g.bench_function("warm_hit", |b| {
-        b.iter(|| engine.run(black_box(&req)).expect("warm").text.len())
-    });
-    g.finish();
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_pushdown, bench_query_latency);
-criterion_main!(benches);
+fn main() {
+    let mut report = Report::from_args();
+    bench_pushdown(&mut report);
+    bench_query_latency(&mut report);
+    report.write().expect("write the bench report");
+}

@@ -1,4 +1,4 @@
-//! Benchmarks of the mmqd serving path (DESIGN.md §14): warm queries
+//! The mmqd serving path (DESIGN.md §14): warm queries
 //! against a resident server over the framed loopback protocol, vs the
 //! cold-process path — spawning a fresh `mmq` that must open the store
 //! and render the answer from data blocks.
@@ -10,7 +10,9 @@
 //! `cargo build --release` — it falls back to an in-process open+render,
 //! and says so in the section's `cold_mode` field.
 
-use mm_bench::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::hint::black_box;
+
+use mm_bench::Report;
 use mm_json::Json;
 use mm_net::{Client, Request, Response};
 use mmexperiments::store::RunStore;
@@ -18,8 +20,8 @@ use mmexperiments::{serve, Artifact, Ctx, QueryEngine, QueryRequest, ServeConfig
 use mmradio::band::Rat;
 use std::path::PathBuf;
 
-fn serve_ctx(c: &Criterion) -> (Ctx, f64) {
-    let scale = if c.is_smoke() { 0.05 } else { 0.25 };
+fn serve_ctx(bench: &Report) -> (Ctx, f64) {
+    let scale = if bench.is_smoke() { 0.05 } else { 0.25 };
     (Ctx::builder().seed(2018).scale(scale).build(), scale)
 }
 
@@ -55,10 +57,10 @@ fn clear_query_cache(dir: &std::path::Path) {
     }
 }
 
-fn bench_serve(c: &mut Criterion) {
+fn bench_serve(bench: &mut Report) {
     let dir = std::env::temp_dir().join(format!("mm-bench-serve-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let (ctx, scale) = serve_ctx(c);
+    let (ctx, scale) = serve_ctx(bench);
     let store = RunStore::open(&dir).expect("open store");
     store.save_d2(&ctx).expect("persist campaign");
 
@@ -66,7 +68,7 @@ fn bench_serve(c: &mut Criterion) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
     let server_dir = dir.clone();
-    let (srv_ctx, _) = serve_ctx(c);
+    let (srv_ctx, _) = serve_ctx(bench);
     #[expect(
         clippy::disallowed_methods,
         reason = "the bench hosts a resident server on its own thread, as mmqd does; it renders no artifact"
@@ -102,7 +104,7 @@ fn bench_serve(c: &mut Criterion) {
     }
 
     // Warm rate: framed round trips against the resident engine.
-    let warm_n = if c.is_smoke() { 100 } else { 500 };
+    let warm_n = if bench.is_smoke() { 100 } else { 500 };
     let t0 = std::time::Instant::now();
     for _ in 0..warm_n {
         let resp = client.request(black_box(&wire)).expect("warm answer");
@@ -112,7 +114,7 @@ fn bench_serve(c: &mut Criterion) {
 
     // Cold-process rate: each sample pays process start + store open +
     // pushdown scan + render (the query cache is cleared first).
-    let cold_n = if c.is_smoke() { 3 } else { 5 };
+    let cold_n = if bench.is_smoke() { 3 } else { 5 };
     let mmq = find_mmq();
     let cold_mode = if mmq.is_some() {
         "subprocess"
@@ -145,7 +147,7 @@ fn bench_serve(c: &mut Criterion) {
                 );
             }
             None => {
-                let (cold_ctx, _) = serve_ctx(c);
+                let (cold_ctx, _) = serve_ctx(bench);
                 let engine = QueryEngine::open(&dir, cold_ctx).expect("cold engine opens");
                 let res = engine.run(&req).expect("cold render");
                 assert!(!res.cached, "cache was cleared");
@@ -155,7 +157,7 @@ fn bench_serve(c: &mut Criterion) {
     }
     let cold_qps = cold_n as f64 / t1.elapsed().as_secs_f64().max(1e-9);
 
-    c.attach(
+    bench.attach(
         "serve_rate",
         Json::Obj(vec![
             ("warm_qps".to_string(), Json::Num(warm_qps)),
@@ -170,20 +172,6 @@ fn bench_serve(c: &mut Criterion) {
         ]),
     );
 
-    // Refill the cache (the cold loop cleared it) so the timed group
-    // below measures the warm wire path.
-    client.request(&wire).expect("refill cache");
-    let mut g = c.benchmark_group("serve");
-    g.throughput(Throughput::Elements(1));
-    g.sample_size(10);
-    g.bench_function("warm_request", |b| {
-        b.iter(|| match client.request(black_box(&wire)).expect("answer") {
-            Response::Ok(doc) => doc["text"].as_str().map(str::len).unwrap_or(0),
-            Response::Err(e) => panic!("warm request rejected: {e:?}"),
-        })
-    });
-    g.finish();
-
     // Drain the server; joining proves the clean shutdown path.
     match client
         .request(&Request::Shutdown)
@@ -197,5 +185,8 @@ fn bench_serve(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_serve);
-criterion_main!(benches);
+fn main() {
+    let mut report = Report::from_args();
+    bench_serve(&mut report);
+    report.write().expect("write the bench report");
+}

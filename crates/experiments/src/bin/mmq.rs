@@ -46,6 +46,7 @@
 
 use mm_json::ToJson;
 use mm_net::{Client, Request, Response};
+use mmexperiments::cli::{parse_duration_s, parse_num, parse_scale};
 use mmexperiments::query::{store_servable, GroupBy, QueryFormat, QueryRequest};
 use mmexperiments::{Artifact, Ctx, MetricsSink, MmError, QueryEngine, QueryResult};
 use mmlab::predicate::rat_from_key;
@@ -88,12 +89,6 @@ enum Target {
     Stats,
     /// `--connect` only: drain the server and stop it.
     Shutdown,
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, MmError> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| MmError::Config(format!("{flag} expects a number")))
 }
 
 fn flag_value(flag: &str, value: Option<String>) -> Result<String, MmError> {
@@ -192,7 +187,7 @@ fn real_main() -> Result<(), MmError> {
     let mut seed = 2018u64;
     let mut scale: Option<f64> = None;
     let mut runs: Option<usize> = None;
-    let mut duration_s: Option<u64> = None;
+    let mut duration_ms: Option<u64> = None;
     let mut quick = false;
     let mut store_dir: Option<String> = None;
     let mut carrier: Option<String> = None;
@@ -213,14 +208,9 @@ fn real_main() -> Result<(), MmError> {
                 return Ok(());
             }
             "--seed" => seed = parse_num("--seed", it.next())?,
-            "--scale" => {
-                scale = Some(match it.next() {
-                    Some(v) if v == "paper" => 1.0,
-                    v => parse_num("--scale", v)?,
-                })
-            }
+            "--scale" => scale = Some(parse_scale(it.next())?),
             "--runs" => runs = Some(parse_num("--runs", it.next())?),
-            "--duration-s" => duration_s = Some(parse_num("--duration-s", it.next())?),
+            "--duration-s" => duration_ms = Some(parse_duration_s(it.next())?),
             "--quick" => quick = true,
             "--store" => {
                 store_dir = Some(
@@ -379,8 +369,8 @@ fn real_main() -> Result<(), MmError> {
     if let Some(r) = runs {
         builder = builder.runs(r);
     }
-    if let Some(d) = duration_s {
-        builder = builder.duration_ms(d * 1000);
+    if let Some(ms) = duration_ms {
+        builder = builder.duration_ms(ms);
     }
     let ctx = builder.build();
     eprintln!(

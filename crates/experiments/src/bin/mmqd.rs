@@ -24,6 +24,7 @@
 //! Exit codes: 2 for usage errors (bad flags, missing campaign), 3 for
 //! runtime failures (corrupt store, unbindable address).
 
+use mmexperiments::cli::{parse_duration_s, parse_num, parse_scale};
 use mmexperiments::{serve, Ctx, MmError, QueryEngine, ServeConfig};
 
 fn usage() -> String {
@@ -35,12 +36,6 @@ fn usage() -> String {
         .to_string()
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, MmError> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| MmError::Config(format!("{flag} expects a number")))
-}
-
 fn real_main() -> Result<(), MmError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -49,7 +44,7 @@ fn real_main() -> Result<(), MmError> {
     let mut seed = 2018u64;
     let mut scale: Option<f64> = None;
     let mut runs: Option<usize> = None;
-    let mut duration_s: Option<u64> = None;
+    let mut duration_ms: Option<u64> = None;
     let mut quick = false;
     let mut store_dir: Option<String> = None;
     let mut listen = "127.0.0.1:0".to_string();
@@ -63,14 +58,9 @@ fn real_main() -> Result<(), MmError> {
                 return Ok(());
             }
             "--seed" => seed = parse_num("--seed", it.next())?,
-            "--scale" => {
-                scale = Some(match it.next() {
-                    Some(v) if v == "paper" => 1.0,
-                    v => parse_num("--scale", v)?,
-                })
-            }
+            "--scale" => scale = Some(parse_scale(it.next())?),
             "--runs" => runs = Some(parse_num("--runs", it.next())?),
-            "--duration-s" => duration_s = Some(parse_num("--duration-s", it.next())?),
+            "--duration-s" => duration_ms = Some(parse_duration_s(it.next())?),
             "--quick" => quick = true,
             "--store" => {
                 store_dir = Some(
@@ -118,8 +108,8 @@ fn real_main() -> Result<(), MmError> {
     if let Some(r) = runs {
         builder = builder.runs(r);
     }
-    if let Some(d) = duration_s {
-        builder = builder.duration_ms(d * 1000);
+    if let Some(ms) = duration_ms {
+        builder = builder.duration_ms(ms);
     }
     let ctx = builder.build();
 

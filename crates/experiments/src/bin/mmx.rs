@@ -61,6 +61,7 @@
 
 use mm_exec::Executor;
 use mm_json::ToJson;
+use mmexperiments::cli::{parse_duration_s, parse_num, parse_scale};
 use mmexperiments::store::round_seed;
 use mmexperiments::{
     run, run_fleet_on, Artifact, Ctx, FleetConfig, MetricsSink, MmError, RunBundle, RunStore,
@@ -118,7 +119,7 @@ struct RawArgs {
     seed: Option<u64>,
     scale: Option<f64>,
     runs: Option<usize>,
-    duration_s: Option<u64>,
+    duration_ms: Option<u64>,
     quick: bool,
     timings: bool,
     metrics: MetricsSink,
@@ -132,12 +133,6 @@ struct RawArgs {
     wanted: Vec<Artifact>,
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<String>) -> Result<T, MmError> {
-    value
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| MmError::Config(format!("{flag} expects a number")))
-}
-
 impl RawArgs {
     fn parse(args: impl Iterator<Item = String>) -> Result<RawArgs, MmError> {
         let mut raw = RawArgs::default();
@@ -146,15 +141,9 @@ impl RawArgs {
             match a.as_str() {
                 "--version" => raw.version = true,
                 "--seed" => raw.seed = Some(parse_num("--seed", it.next())?),
-                "--scale" => {
-                    raw.scale = Some(match it.next() {
-                        // The paper's full crawl: ~32k cells, ~8M samples.
-                        Some(v) if v == "paper" => 1.0,
-                        v => parse_num("--scale", v)?,
-                    })
-                }
+                "--scale" => raw.scale = Some(parse_scale(it.next())?),
                 "--runs" => raw.runs = Some(parse_num("--runs", it.next())?),
-                "--duration-s" => raw.duration_s = Some(parse_num("--duration-s", it.next())?),
+                "--duration-s" => raw.duration_ms = Some(parse_duration_s(it.next())?),
                 "--quick" => raw.quick = true,
                 "--timings" => raw.timings = true,
                 "--store" => {
@@ -262,8 +251,8 @@ impl RawArgs {
         if let Some(r) = self.runs {
             builder = builder.runs(r);
         }
-        if let Some(d) = self.duration_s {
-            builder = builder.duration_ms(d * 1000);
+        if let Some(ms) = self.duration_ms {
+            builder = builder.duration_ms(ms);
         }
         builder.build()
     }
@@ -289,7 +278,7 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
             "--ues" => cfg.ues = parse_num("--ues", it.next())?,
             "--shards" => cfg.shards = parse_num("--shards", it.next())?,
             "--seed" => cfg.seed = parse_num("--seed", it.next())?,
-            "--duration-s" => cfg.duration_ms = parse_num::<u64>("--duration-s", it.next())? * 1000,
+            "--duration-s" => cfg.duration_ms = parse_duration_s(it.next())?,
             "--epoch-ms" => cfg.epoch_ms = parse_num("--epoch-ms", it.next())?,
             "--carrier" => {
                 cfg.carrier = it
@@ -304,12 +293,7 @@ fn fleet_main(args: impl Iterator<Item = String>) -> Result<(), MmError> {
                     .parse()
                     .map_err(|e| MmError::Config(format!("{e} (see `mmx f20` for codes)")))?;
             }
-            "--scale" => {
-                cfg.scale = match it.next() {
-                    Some(v) if v == "paper" => 1.0,
-                    v => parse_num("--scale", v)?,
-                }
-            }
+            "--scale" => cfg.scale = parse_scale(it.next())?,
             other => {
                 if let Some(sink) = MetricsSink::from_flag(other) {
                     metrics = sink;

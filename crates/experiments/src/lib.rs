@@ -11,21 +11,21 @@
 pub mod ablations;
 pub mod active;
 pub mod audit;
+pub mod cli;
 pub mod context;
 pub mod factors;
 pub mod fleet;
 pub mod idle;
 pub mod landscape;
-pub mod metrics;
 pub mod query;
 pub mod serve;
 pub mod store;
 pub mod stream;
 pub mod tables;
 
+pub use cli::MetricsSink;
 pub use context::{Ctx, CtxBuilder};
 pub use fleet::{run_fleet, run_fleet_on, FleetConfig, FleetReport, FleetTally};
-pub use metrics::MetricsSink;
 pub use mmcore::MmError;
 pub use query::{QueryEngine, QueryRequest, QueryResult};
 pub use serve::{serve, ServeConfig};

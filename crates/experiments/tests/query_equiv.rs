@@ -19,6 +19,7 @@ struct Run {
 fn exe(bin: &str, args: &[&str], store: Option<&Path>) -> Run {
     let mut cmd = Command::new(match bin {
         "mmx" => env!("CARGO_BIN_EXE_mmx"),
+        "mmqd" => env!("CARGO_BIN_EXE_mmqd"),
         _ => env!("CARGO_BIN_EXE_mmq"),
     });
     cmd.args(args).env("MM_THREADS", "2");
@@ -221,6 +222,33 @@ fn usage_errors_exit_2_with_a_hint() {
             "mmx",
             &["crawl", "--quick", "--save", "--store", "X"],
             "conflict",
+        ),
+        // A scale must be `paper` or finite and positive, and a duration
+        // must fit in milliseconds; nothing is clamped or wrapped.
+        ("mmx", &["t4", "--scale", "nan"], "--scale"),
+        ("mmx", &["t4", "--scale", "-3"], "--scale"),
+        (
+            "mmx",
+            &["t4", "--duration-s", "18446744073709552"],
+            "--duration-s",
+        ),
+        (
+            "mmx",
+            &["fleet", "--ues", "1", "--duration-s", "18446744073709552"],
+            "--duration-s",
+        ),
+        ("mmx", &["fleet", "--ues", "1", "--scale", "0"], "--scale"),
+        ("mmq", &["f16", "--scale", "nan", "--store", "X"], "--scale"),
+        (
+            "mmq",
+            &["f16", "--duration-s", "18446744073709552", "--store", "X"],
+            "--duration-s",
+        ),
+        ("mmqd", &["--store", "X", "--scale", "inf"], "--scale"),
+        (
+            "mmqd",
+            &["--store", "X", "--duration-s", "18446744073709552"],
+            "--duration-s",
         ),
     ];
     for (bin, args, hint) in cases {

@@ -9,6 +9,9 @@ export CARGO_NET_OFFLINE=true
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
+# Every mm-bench report this run gates on is written here and read back
+# from here, so no gate can read a report an earlier run left behind.
+export MM_BENCH_OUT="$tmpdir/bench"
 
 cargo build --workspace --release
 cargo fmt --check
@@ -101,8 +104,6 @@ cargo test -q --release --test determinism
 # The in-process 100k-UE fleet test is compiled only without debug
 # assertions, so it runs here or nowhere.
 cargo test -q --release --test fleet
-cargo bench -p mm-bench -- --smoke
-cargo bench -p mm-bench --bench exec -- --smoke
 
 # The examples drive the public API end to end: drive_test must export its
 # D1 dataset through mmlab::export_d1 and validate one record per collected
@@ -305,7 +306,7 @@ echo "verify.sh: paper-scale carrier query decoded ${decoded}/${total} row group
 # The aggregation bench must publish its samples/sec section in the JSON
 # report — the number the performance claims in README.md cite.
 cargo bench -p mm-bench --bench aggregate -- --smoke
-agg_report="${MM_BENCH_DIR:-target/mm-bench}/aggregate.json"
+agg_report="$MM_BENCH_OUT/aggregate.json"
 for key in aggregate_rate crawl_samples_per_s agg_from_store_samples_per_s; do
     if ! grep -q "$key" "$agg_report"; then
         echo "verify.sh: FAIL — $agg_report lacks the $key section" >&2
@@ -317,7 +318,7 @@ echo "verify.sh: aggregate bench JSON carries the aggregate_rate samples/sec sec
 # The query bench must publish both mmq sections, and pushdown must beat
 # the full scan by at least 2x on the same carrier slice.
 cargo bench -p mm-bench --bench query -- --smoke
-q_report="${MM_BENCH_DIR:-target/mm-bench}/query.json"
+q_report="$MM_BENCH_OUT/query.json"
 for key in query_pushdown full_scan_rows_per_s pushdown_rows_per_s speedup_x query_latency warm_speedup_x; do
     if ! grep -q "$key" "$q_report"; then
         echo "verify.sh: FAIL — $q_report lacks the $key section" >&2
@@ -378,7 +379,7 @@ echo "verify.sh: 100k-UE fleet at ${fleet_peak_kb} kB peak RSS (ceiling ${fleet_
 # The fleet bench must publish its UE-events/sec section in the JSON
 # report — the throughput number README.md cites for the runtime.
 cargo bench -p mm-bench --bench fleet -- --smoke
-fleet_report="${MM_BENCH_DIR:-target/mm-bench}/fleet.json"
+fleet_report="$MM_BENCH_OUT/fleet.json"
 for key in fleet_rate ue_events_per_sec; do
     if ! grep -q "$key" "$fleet_report"; then
         echo "verify.sh: FAIL — $fleet_report lacks the $key section" >&2
@@ -401,6 +402,9 @@ sstore="$tmpdir/sstore"
 ./target/release/mmq ho-idle --quick --store "$sstore" > "$tmpdir/ref-ho-idle.txt" 2>/dev/null
 ./target/release/mmq f16 --group-by carrier --quick --store "$sstore" > "$tmpdir/ref-group.txt" 2>/dev/null
 for threads in 1 8; do
+    # Created before mmqd starts, so the address poll never reads a file
+    # the background redirect has not made yet.
+    : > "$tmpdir/mmqd-$threads.out"
     MM_THREADS=$threads ./target/release/mmqd --store "$sstore" --quick \
         > "$tmpdir/mmqd-$threads.out" 2>/dev/null &
     mmqd_pid=$!
@@ -479,7 +483,7 @@ done
 # The serve bench must publish warm-vs-cold-process qps, and the resident
 # warm path must beat spawning a fresh mmq per query by at least 100x.
 cargo bench -p mm-bench --bench serve -- --smoke
-serve_report="${MM_BENCH_DIR:-target/mm-bench}/serve.json"
+serve_report="$MM_BENCH_OUT/serve.json"
 for key in serve_rate warm_qps cold_process_qps speedup_x; do
     if ! grep -q "$key" "$serve_report"; then
         echo "verify.sh: FAIL — $serve_report lacks the $key section" >&2

@@ -74,9 +74,11 @@ fn store_encoding_is_deterministic_and_smaller_than_json() {
 
     let mut json = Vec::new();
     mmlab::export_d2(&mut json, ctx.d2()).expect("export");
+    // DESIGN.md §9's size claim: 6,931,155 columnar bytes vs 74,778,118
+    // JSONL bytes (10.79×) for this fixture's 388,765 rows.
     assert!(
-        json.len() >= 3 * a.len(),
-        "columnar must be ≥3× smaller than the JSONL export: {} vs {}",
+        json.len() >= 10 * a.len(),
+        "columnar must be ≥10× smaller than the JSONL export: {} vs {}",
         a.len(),
         json.len()
     );
